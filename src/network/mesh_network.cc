@@ -155,8 +155,11 @@ MeshNetwork::send(PacketPtr pkt)
         router.nonEmptyMask |= std::uint16_t{1} << local;
         router.flits += flits;
         Shard &sh = _shards[p];
-        if (_telem && router.flits > sh.peak)
-            sh.peak = router.flits;
+        if (_telem) {
+            noteTickFlow(raw->src, sh).sends += flits;
+            if (router.flits > sh.peak)
+                sh.peak = router.flits;
+        }
         if (router.flits == flits)
             noteFlitsShard(raw->src, true);
         sh.activeDelta += flits;
@@ -402,7 +405,7 @@ MeshNetwork::setShard(std::vector<unsigned> part_of,
     _numParts = static_cast<unsigned>(_shardQueues.size());
 
     // Partitions must be contiguous ascending router ranges — that is
-    // what makes draining channels in source-partition order equal to
+    // what makes landing channels in source-partition order equal to
     // the serial kernel's ascending-fromRouter push order.
     _partLo.assign(_numParts + 1, 0);
     _partLo[_numParts] = _numNodes;
@@ -417,44 +420,155 @@ MeshNetwork::setShard(std::vector<unsigned> part_of,
     assert(_partOf[_numNodes - 1] == _numParts - 1 &&
            "every partition must own at least one router");
 
+#ifndef NDEBUG
+    // The depth mirror's exactness rests on every neighbour input port
+    // having exactly one upstream output (docs/PERFORMANCE.md §4).
+    std::vector<std::uint8_t> upstreams(_inPorts.size(), 0);
+    for (unsigned r = 0; r < _numNodes; ++r)
+        for (std::uint32_t o = _portBase[r]; o + 1 < _portBase[r + 1]; ++o)
+            ++upstreams[_portBase[_destRouter[o]] + _destPort[o]];
+    for (unsigned r = 0; r < _numNodes; ++r)
+        for (std::uint32_t i = _portBase[r]; i + 1 < _portBase[r + 1]; ++i)
+            assert(upstreams[i] == 1 && "input port without one upstream");
+#endif
+
     _shards = std::vector<Shard>(_numParts);
     for (Shard &sh : _shards)
         sh.moves.reserve(32);
-    _chan.assign(std::size_t{_numParts} * _numParts, {});
-    _tickPops.assign(_numNodes, 0);
+    _chan = std::vector<Channel>(std::size_t{2} * _numParts * _numParts);
+    _mirrorDepth.assign(_inPorts.size(), 0);
+    _tickFlow.assign(_numNodes, TickFlow{});
 }
 
 void
-MeshNetwork::planShard(unsigned p)
+MeshNetwork::step(unsigned p, bool coupled)
 {
+    {
+        PROF_SCOPE("pk.drain");
+        landStaged(p, _cur ^ 1);
+        clearTickFlow(p);
+    }
+    if (!coupled)
+        return;
     Shard &sh = _shards[p];
     sh.moves.clear();
     const unsigned lo = _partLo[p];
     const unsigned hi = _partLo[p + 1];
-    // Scan the partition's slice of the active bitmap. The bitmap is
-    // stable during the plan phase (only apply/drain/send flip bits),
-    // so plain reads are safe even on boundary words.
-    for (unsigned w = lo / 64; w <= (hi - 1) / 64; ++w) {
-        std::uint64_t bits = _activeRouters[w];
-        if (w == lo / 64)
-            bits &= ~std::uint64_t{0} << (lo % 64);
-        if (w == (hi - 1) / 64 && hi % 64)
-            bits &= ~(~std::uint64_t{0} << (hi % 64));
-        while (bits) {
-            planRouter(static_cast<unsigned>(
-                           w * 64 + std::countr_zero(bits)),
-                       sh.moves, sh.blocked);
-            bits &= bits - 1;
+    {
+        PROF_SCOPE("pk.plan");
+        // Scan the partition's slice of the active bitmap. A boundary
+        // word is shared with a neighbour flipping its own bits
+        // concurrently, hence the atomic load; this partition's bits
+        // only ever change on this thread.
+        for (unsigned w = lo / 64; w <= (hi - 1) / 64; ++w) {
+            std::uint64_t bits = std::atomic_ref<std::uint64_t>(
+                                     _activeRouters[w])
+                                     .load(std::memory_order_relaxed);
+            if (w == lo / 64)
+                bits &= ~std::uint64_t{0} << (lo % 64);
+            if (w == (hi - 1) / 64 && hi % 64)
+                bits &= ~(~std::uint64_t{0} << (hi % 64));
+            while (bits) {
+                planRouterShard(static_cast<unsigned>(
+                                    w * 64 + std::countr_zero(bits)),
+                                sh);
+                bits &= bits - 1;
+            }
         }
+    }
+    {
+        PROF_SCOPE("pk.apply");
+        for (const Move &move : sh.moves)
+            applyMoveShard(move, p);
     }
 }
 
 void
-MeshNetwork::applyShard(unsigned p)
+MeshNetwork::planRouterShard(unsigned r, Shard &sh)
 {
-    Shard &sh = _shards[p];
-    for (const Move &move : sh.moves)
-        applyMoveShard(move, p);
+    // planRouter with one difference: credit comes from the depth
+    // mirror, never from the downstream FIFO, which may belong to a
+    // partition that is mid-window. (planRouter's _staged reservation
+    // is always zero at its check — one upstream output per input port
+    // — so the mirror needs no counterpart.)
+    Router &router = _routers[r];
+    const std::uint32_t base = _portBase[r];
+    const unsigned num_ports = _portBase[r + 1] - base;
+    const unsigned local = num_ports - 1;
+    const std::uint8_t *routes =
+        &_routeTable[std::size_t{r} * _numNodes];
+
+    std::uint16_t contend[maxPorts] = {};
+    const unsigned nonEmpty = router.nonEmptyMask;
+    unsigned outputs = router.ownerMask;
+    for (unsigned bits = nonEmpty; bits; bits &= bits - 1) {
+        const unsigned i = static_cast<unsigned>(std::countr_zero(bits));
+        const Flit &front = _inPorts[base + i].front();
+        if (!front.head)
+            continue;
+        const std::uint8_t rp = routes[front.dest];
+        unsigned o;
+        if (rp == localSelf) {
+            o = local;
+        } else if (_vcs == 1) {
+            o = rp;
+        } else {
+            unsigned carry = 0;
+            if (i != local && (i & 1)) {
+                const std::uint16_t dims = _chanDimMask[r];
+                carry = ((dims >> (i >> 1)) & 1) ==
+                        ((dims >> (rp >> 1)) & 1);
+            }
+            o = rp | carry;
+        }
+        contend[o] |= std::uint16_t{1} << i;
+        outputs |= 1u << o;
+    }
+
+    for (unsigned obits = outputs; obits; obits &= obits - 1) {
+        const unsigned o = static_cast<unsigned>(std::countr_zero(obits));
+        OutputPort &op = _outPorts[base + o];
+        int src = op.owner;
+        if (src == -1 && contend[o]) {
+            for (unsigned k = 0; k < num_ports; ++k) {
+                unsigned i = op.rr + k;
+                if (i >= num_ports)
+                    i -= num_ports;
+                if (!(contend[o] & (std::uint16_t{1} << i)))
+                    continue;
+                src = static_cast<int>(i);
+                op.rr = i + 1 == num_ports ? 0 : i + 1;
+                op.owner = src;
+                router.ownerMask |= std::uint16_t{1} << o;
+                break;
+            }
+        }
+        if (src == -1)
+            continue;
+        if (!(nonEmpty & (std::uint16_t{1} << src)))
+            continue;
+
+        const Flit &flit = _inPorts[base + src].front();
+
+        Move move{};
+        move.fromRouter = r;
+        move.fromPort = static_cast<unsigned>(src);
+        move.outPort = o;
+        move.releaseOwner = flit.tail;
+        if (o == local) {
+            move.eject = true;
+        } else {
+            move.eject = false;
+            move.toRouter = _destRouter[base + o];
+            move.toPort = _destPort[base + o];
+            if (_mirrorDepth[_portBase[move.toRouter] + move.toPort] >=
+                _params.inputFifoFlits) {
+                sh.blocked += 1;
+                continue; // no credit downstream
+            }
+        }
+        sh.moves.push_back(move);
+    }
 }
 
 void
@@ -462,7 +576,8 @@ MeshNetwork::applyMoveShard(const Move &move, unsigned p)
 {
     Shard &sh = _shards[p];
     Router &router = _routers[move.fromRouter];
-    FlitFifo &in = _inPorts[_portBase[move.fromRouter] + move.fromPort];
+    const std::uint32_t in_idx = _portBase[move.fromRouter] + move.fromPort;
+    FlitFifo &in = _inPorts[in_idx];
     assert(!in.empty());
     Flit flit = in.front();
     in.pop_front();
@@ -474,8 +589,18 @@ MeshNetwork::applyMoveShard(const Move &move, unsigned p)
     sh.flitHops += 1;
     if (_telem) {
         ++_telem->flitHops[move.fromRouter];
-        if (!_tickPops[move.fromRouter]++)
-            sh.poppedRouters.push_back(move.fromRouter);
+        noteTickFlow(move.fromRouter, sh).pops += 1;
+    }
+    // The pop frees a slot upstream: credit it to the mirror now if
+    // this partition owns the upstream router, else return the credit
+    // through the channel for the owner's next step. (The Local port
+    // has no upstream router and no credit.)
+    if (in_idx + 1 != _portBase[move.fromRouter + 1]) {
+        const unsigned up = _partOf[_destRouter[in_idx]];
+        if (up == p)
+            --_mirrorDepth[in_idx];
+        else
+            channel(_cur, p, up).credits.push_back(in_idx);
     }
 
     if (move.releaseOwner) {
@@ -491,28 +616,28 @@ MeshNetwork::applyMoveShard(const Move &move, unsigned p)
             deliverShard(flit.pkt, p);
     } else {
         // Stage the push — even for a same-partition destination, so
-        // the drain phase lands all pushes in the serial order. The
-        // plan-phase credit reservation is consumed here; the slot is
-        // clean for the next window's plan.
+        // the next step lands all pushes in the serial order.
         const std::uint32_t idx = _portBase[move.toRouter] + move.toPort;
-        _staged[idx] = 0;
+        ++_mirrorDepth[idx];
         const unsigned dst = _partOf[move.toRouter];
         if (dst != p)
             sh.xpartFlits += 1;
-        _chan[std::size_t{p} * _numParts + dst].push_back(
+        channel(_cur, p, dst).pushes.push_back(
             StagedPush{flit, move.toRouter, move.fromRouter,
                        static_cast<std::uint8_t>(move.toPort)});
     }
 }
 
 void
-MeshNetwork::drainShard(unsigned p)
+MeshNetwork::landStaged(unsigned p, unsigned buf)
 {
     Shard &sh = _shards[p];
     for (unsigned q = 0; q < _numParts; ++q) {
-        std::vector<StagedPush> &ch =
-            _chan[std::size_t{q} * _numParts + p];
-        for (const StagedPush &sp : ch) {
+        Channel &ch = channel(buf, q, p);
+        for (const std::uint32_t idx : ch.credits)
+            --_mirrorDepth[idx];
+        ch.credits.clear();
+        for (const StagedPush &sp : ch.pushes) {
             const unsigned t = sp.toRouter;
             _inPorts[_portBase[t] + sp.toPort].push_back(sp.flit);
             Router &router = _routers[t];
@@ -521,23 +646,45 @@ MeshNetwork::drainShard(unsigned p)
             if (router.flits == 1)
                 noteFlitsShard(t, true);
             if (_telem) {
-                // Exact serial intermediate depth: in the serial apply
-                // order, pushes from routers below t land before t's
-                // own pops (counted in _tickPops by the apply phase),
-                // pushes from above land after.
-                const unsigned depth =
-                    router.flits +
-                    (sp.fromRouter < t ? _tickPops[t] : 0);
+                // The serial tick lands pushes from routers below t
+                // before t's own pops, pushes from above after them,
+                // and the tick's sends after every push. Here t has
+                // already popped and sent, so a push from below
+                // reconstructs its serial depth by undoing both; any
+                // other push reads the current depth, which never
+                // exceeds the serial peak and whose last value is the
+                // serial end-of-tick depth.
+                const TickFlow &f = _tickFlow[t];
+                unsigned depth = router.flits;
+                if (sp.fromRouter < t && f.pops > f.sends)
+                    depth += f.pops - f.sends;
                 if (depth > sh.peak)
                     sh.peak = depth;
             }
         }
-        ch.clear();
+        ch.pushes.clear();
     }
-    if (_telem) {
-        for (unsigned r : sh.poppedRouters)
-            _tickPops[r] = 0;
-        sh.poppedRouters.clear();
+}
+
+void
+MeshNetwork::clearTickFlow(unsigned p)
+{
+    Shard &sh = _shards[p];
+    for (const unsigned r : sh.flowRouters)
+        _tickFlow[r] = TickFlow{};
+    sh.flowRouters.clear();
+}
+
+void
+MeshNetwork::settle()
+{
+    // Coordinator only, workers parked. At most one of the two buffers
+    // holds anything (each step empties the older one), so landing
+    // both, in partition order, is exactly the next windows' steps.
+    for (unsigned p = 0; p < _numParts; ++p) {
+        landStaged(p, 0);
+        landStaged(p, 1);
+        clearTickFlow(p);
     }
 }
 
@@ -569,9 +716,8 @@ MeshNetwork::deliverShard(Packet *raw, unsigned p)
 }
 
 void
-MeshNetwork::coupledEpilogue(Tick window, bool ranCoupled)
+MeshNetwork::coupledEpilogue(Tick window)
 {
-    (void)ranCoupled;
     // Fold the partition shards, partition-major — which is ascending
     // router order, i.e. exactly the order the serial kernel would have
     // produced these updates within the window. Integer counters are
@@ -594,9 +740,11 @@ MeshNetwork::coupledEpilogue(Tick window, bool ranCoupled)
         sh.peak = 0;
     }
     // Exactly the serial scheduleTickIfNeeded: while flits are in
-    // flight the fabric clocks every cycle, and a send into an idle
-    // fabric wakes it one clock later.
+    // flight — staged ones included — the fabric clocks every cycle,
+    // and a send into an idle fabric wakes it one clock later.
     _netNext = _activeFlits ? window + _params.clockPeriod : maxTick;
+    // This window's staging buffer becomes the next window's inbound.
+    _cur ^= 1;
 }
 
 } // namespace limitless

@@ -20,7 +20,9 @@
  * port, always last), not a fixed five: a torus corner has four links x
  * two VCs, a mesh corner just two. Packets are decomposed into
  * 1 routing flit + flitsPerWord flits per packet word. The whole fabric
- * is a single clocked object that sleeps when no flits are in flight.
+ * is a single clocked object that sleeps when no flits are in flight —
+ * or, under the parallel kernel, one object partitioned at its boundary
+ * links (setShard).
  */
 
 #ifndef LIMITLESS_NETWORK_MESH_NETWORK_HH
@@ -54,16 +56,18 @@ struct WormholeParams
  * Wormhole-routed network over an arbitrary grid Topology.
  *
  * The fabric is the one simulation object spanning node partitions, so
- * it doubles as the parallel kernel's ParallelCoupling: in shard mode
- * (setShard) the serial per-cycle tick() is replaced by the three
- * barrier-separated phases planShard / applyShard / drainShard, with
- * all cross-partition flit movement staged through per-(src,dst)
- * partition channels and every statistic accumulated into
- * per-partition shards that the window epilogue folds back — in an
- * order chosen so the folded values are bit-identical to the serial
- * kernel's (docs/PERFORMANCE.md lays out the argument). The serial
- * path is never touched by shard-mode code: with setShard never
- * called, behaviour is byte-identical to previous releases.
+ * it doubles as the parallel kernel's ParallelCoupling. In shard mode
+ * (setShard) the serial per-cycle tick() is replaced by one step per
+ * partition per window: land what the neighbours staged last window
+ * (flits and credit returns, through per-(src,dst) partition
+ * channels), then plan and apply the partition's own routers, checking
+ * credit against a per-port mirror of the downstream FIFO depth and
+ * staging every push. Every statistic accumulates into per-partition
+ * shards that the window epilogue folds back — in an order chosen so
+ * the folded values are bit-identical to the serial kernel's
+ * (docs/PERFORMANCE.md §4 lays out the argument). The serial path is
+ * never touched by shard-mode code: with setShard never called,
+ * behaviour is byte-identical to previous releases.
  */
 class MeshNetwork : public Network, public ParallelCoupling
 {
@@ -138,7 +142,7 @@ class MeshNetwork : public Network, public ParallelCoupling
      * Enter shard mode for the parallel kernel: @p part_of maps each
      * router to its partition (contiguous, ascending), @p queues is the
      * per-partition event queue array. From here on the kernel drives
-     * the fabric through the ParallelCoupling phases and no tick events
+     * the fabric through the ParallelCoupling step and no tick events
      * are ever scheduled; send() and delivery switch to per-partition
      * accounting. Call before any packet is injected.
      */
@@ -163,10 +167,9 @@ class MeshNetwork : public Network, public ParallelCoupling
 
     // ParallelCoupling (parallel kernel's view of the fabric).
     Tick nextCoupledTick() const override { return _netNext; }
-    void planShard(unsigned p) override;
-    void applyShard(unsigned p) override;
-    void drainShard(unsigned p) override;
-    void coupledEpilogue(Tick window, bool ranCoupled) override;
+    void step(unsigned p, bool coupled) override;
+    void settle() override;
+    void coupledEpilogue(Tick window) override;
 
   private:
     struct OutputPort
@@ -223,7 +226,7 @@ class MeshNetwork : public Network, public ParallelCoupling
     {
         std::vector<Move> moves;      ///< plan scratch
         std::vector<double> latency;  ///< deliver samples, in order
-        std::vector<unsigned> poppedRouters; ///< _tickPops to clear
+        std::vector<unsigned> flowRouters; ///< _tickFlow entries to clear
         std::uint64_t packets = 0;
         std::uint64_t flits = 0;
         std::uint64_t flitHops = 0;
@@ -236,19 +239,62 @@ class MeshNetwork : public Network, public ParallelCoupling
         unsigned peak = 0;            ///< windowPeakDepth candidate
     };
 
+    /** What one partition stages for another in one window. Aligned so
+     *  two partitions' channels never false-share. */
+    struct alignas(64) Channel
+    {
+        std::vector<StagedPush> pushes;
+        /** Input ports popped at the destination partition's routers
+         *  whose upstream router the source partition owns: each frees
+         *  one slot in the receiver's _mirrorDepth. */
+        std::vector<std::uint32_t> credits;
+    };
+
+    /** Flits a router popped and received by send() this tick
+     *  (telemetry only): reconstructs the serial kernel's intermediate
+     *  buffer depths for the exact windowPeakDepth. */
+    struct TickFlow
+    {
+        std::uint32_t pops = 0;
+        std::uint32_t sends = 0;
+    };
+
     void tick();
     void planRouter(unsigned r, std::vector<Move> &moves,
                     std::uint64_t &blocked);
     void applyMove(const Move &move);
+    void planRouterShard(unsigned r, Shard &sh);
     void applyMoveShard(const Move &move, unsigned p);
+    /** Land everything buffer @p buf holds for partition @p p: credit
+     *  returns into its mirror, pushes into its routers in source
+     *  order. */
+    void landStaged(unsigned p, unsigned buf);
+    void clearTickFlow(unsigned p);
     void scheduleTickIfNeeded();
     void deliver(Packet *raw);
     void deliverShard(Packet *raw, unsigned p);
 
+    Channel &
+    channel(unsigned buf, unsigned src, unsigned dst)
+    {
+        return _chan[(std::size_t{buf} * _numParts + src) * _numParts + dst];
+    }
+
+    /** Router @p r's flow counters, registering it for clearing. */
+    TickFlow &
+    noteTickFlow(unsigned r, Shard &sh)
+    {
+        TickFlow &f = _tickFlow[r];
+        if (!f.pops && !f.sends)
+            sh.flowRouters.push_back(r);
+        return f;
+    }
+
     /**
      * Active-router bitmap updates in shard mode: a 64-router word can
      * straddle a partition boundary, so the bit flips must be atomic
-     * (relaxed is enough — the phase barriers order everything else).
+     * (relaxed is enough — each bit has one writer, the router's
+     * partition, and the window barrier orders everything else).
      */
     void
     noteFlitsShard(unsigned r, bool nowActive)
@@ -336,18 +382,28 @@ class MeshNetwork : public Network, public ParallelCoupling
     std::vector<EventQueue *> _shardQueues; ///< partition clocks/queues
     std::vector<Shard> _shards;
     /**
-     * SPSC channels, index src * P + dst: written only by partition
-     * src's applyShard, drained and cleared only by partition dst's
-     * drainShard, with a barrier between. Draining src = 0..P-1 in
-     * order restores the serial kernel's ascending-fromRouter push
+     * SPSC channels, two buffers of P x P (channel()): in a window,
+     * partition src appends to buffer _cur only, and partition dst
+     * lands and clears buffer _cur ^ 1 only, so the two never touch the
+     * same buffer before the barrier swaps them. Landing src = 0..P-1
+     * in order restores the serial kernel's ascending-fromRouter push
      * order (partitions are contiguous router ranges).
      */
-    std::vector<std::vector<StagedPush>> _chan;
-    /** Flits popped from each router this window (telemetry only):
-     *  reconstructs the serial kernel's intermediate buffer depths for
-     *  the exact windowPeakDepth. Owned by the router's partition;
-     *  reset via Shard::poppedRouters at the end of drainShard. */
-    std::vector<std::uint16_t> _tickPops;
+    std::vector<Channel> _chan;
+    unsigned _cur = 0; ///< buffer this window stages into
+    /**
+     * Per neighbour input port: its FIFO depth as the partition owning
+     * the upstream router accounts it — raised when that partition
+     * stages a push, lowered when the pop is credited back. Written
+     * only by that partition, so its planner reads credit without
+     * touching a FIFO another partition may be landing flits into; at
+     * plan time it equals the pre-tick depth the serial planRouter
+     * reads (docs/PERFORMANCE.md §4).
+     */
+    std::vector<std::uint32_t> _mirrorDepth;
+    /** Per router, owned by its partition; cleared by every step's
+     *  landing (Shard::flowRouters). */
+    std::vector<TickFlow> _tickFlow;
     /** Next fabric cycle under the kernel (maxTick = no flits in
      *  flight); recomputed by every window epilogue exactly as the
      *  serial scheduleTickIfNeeded would. */

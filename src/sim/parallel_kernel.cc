@@ -1,13 +1,13 @@
 #include "sim/parallel_kernel.hh"
 
 #include <algorithm>
-#include <barrier>
 #include <chrono>
 #include <thread>
 
 #include "obs/host_profiler.hh"
 #include "sim/event_queue.hh"
 #include "sim/log.hh"
+#include "sim/window_barrier.hh"
 
 namespace limitless
 {
@@ -40,9 +40,9 @@ ParallelKernel::run(const Hooks &hooks)
     const unsigned P = static_cast<unsigned>(_queues.size());
     const Clock::time_point runStart = Clock::now();
 
-    // Written only by the coordinator between barriers; each barrier
-    // arrival publishes the write to every worker (and the workers'
-    // queue mutations back to the coordinator).
+    // Written only by the coordinator inside the barrier; the release
+    // publishes it to every worker (and each arrival publishes the
+    // workers' queue mutations to the coordinator).
     struct Window
     {
         Tick t = 0;
@@ -51,26 +51,7 @@ ParallelKernel::run(const Hooks &hooks)
     };
     Window window;
 
-    std::barrier bar(static_cast<std::ptrdiff_t>(P));
-
-    // Barrier arrival, optionally timed into the partition's wait
-    // counter: a partition that always arrives last waits ~0 and is the
-    // bottleneck; large waits mark partitions starved by imbalance.
-    auto wait = [&](unsigned p) {
-        if (!_stats) {
-            bar.arrive_and_wait();
-            return;
-        }
-        PROF_SCOPE("pk.barrier");
-        const Clock::time_point t0 = Clock::now();
-        bar.arrive_and_wait();
-        _stats->parts[p].barrierWaitNs.fetch_add(
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    Clock::now() - t0)
-                    .count()),
-            std::memory_order_relaxed);
-    };
+    WindowBarrier bar(P);
 
     // Pick the next window: the globally earliest pending tick over
     // every partition queue and the coupling. All queues align on it so
@@ -90,68 +71,95 @@ ParallelKernel::run(const Hooks &hooks)
             q->advanceTo(t);
         window.t = t;
         window.net = net_t == t;
-        window.stop = false;
+    };
+
+    // The serial tail, run by the coordinator inside the barrier after
+    // window.t executed below stats priority on every partition (or,
+    // for the start-up crossing, before any window): fold the
+    // coupling's stat shards first so the samplers and monitors in the
+    // stats remainder observe exactly the serial kernel's counter
+    // values, then pick the next window. Returns its own duration in ns
+    // when timing, so the coordinator's barrier wait excludes it.
+    auto tail = [&](bool executed) -> std::uint64_t {
+        PROF_SCOPE("pk.tail");
+        const Clock::time_point tail0 =
+            _stats ? Clock::now() : Clock::time_point{};
+        if (executed) {
+            const Tick t = window.t;
+            if (_stats) {
+                _stats->windows += 1;
+                if (window.net)
+                    _stats->coupledWindows += 1;
+            }
+            if (_coupling) {
+                // Observers read fabric state (the peak-depth gauge), so
+                // when any is due this tick, land the staged effects
+                // first. A queue stopped mid-tick holds only events at
+                // or above stats priority.
+                bool observers_due = false;
+                for (EventQueue *q : _queues)
+                    observers_due |= q->nextEventTick() == t;
+                if (observers_due)
+                    _coupling->settle();
+                _coupling->coupledEpilogue(t);
+            }
+            for (EventQueue *q : _queues)
+                q->runTickRemainder(t);
+            if (hooks.onWindow && !hooks.onWindow(t))
+                window.stop = true;
+        }
+        if (!window.stop)
+            publish();
+        if (window.stop && _coupling)
+            _coupling->settle(); // nothing stays staged past the run
+        if (!_stats)
+            return 0;
+        const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+            Clock::now() - tail0);
+        _stats->serialTailSeconds += std::chrono::duration<double>(ns).count();
+        return static_cast<std::uint64_t>(ns.count());
+    };
+
+    // The window's one barrier crossing, optionally timed into the
+    // partition's wait counter: a partition that always arrives last
+    // waits ~0 and is the bottleneck; large waits mark partitions
+    // starved by imbalance.
+    auto arrive = [&](unsigned p, bool executed) {
+        if (!_stats) {
+            if (p == 0)
+                bar.arriveAndRun([&] { tail(executed); });
+            else
+                bar.arriveAndWait();
+            return;
+        }
+        PROF_SCOPE("pk.barrier");
+        const Clock::time_point t0 = Clock::now();
+        std::uint64_t tail_ns = 0;
+        if (p == 0)
+            bar.arriveAndRun([&] { tail_ns = tail(executed); });
+        else
+            bar.arriveAndWait();
+        const auto waited =
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                Clock::now() - t0);
+        _stats->parts[p].barrierWaitNs.fetch_add(
+            static_cast<std::uint64_t>(waited.count()) - tail_ns,
+            std::memory_order_relaxed);
     };
 
     auto body = [&](unsigned p) {
         PROF_SCOPE("pk.worker");
         if (hooks.threadInit)
             hooks.threadInit(p);
-        if (p == 0)
-            publish();
-        for (;;) {
-            wait(p); // window published
-            if (window.stop)
-                break;
-            const Tick t = window.t;
-            if (window.net) {
-                {
-                    PROF_SCOPE("pk.plan");
-                    _coupling->planShard(p);
-                }
-                wait(p);
-                {
-                    PROF_SCOPE("pk.apply");
-                    _coupling->applyShard(p);
-                }
-                wait(p);
-                {
-                    PROF_SCOPE("pk.drain");
-                    _coupling->drainShard(p);
-                }
-                wait(p);
-            }
+        arrive(p, false); // start-up: the tail publishes the first window
+        while (!window.stop) {
+            if (_coupling)
+                _coupling->step(p, window.net);
             {
                 PROF_SCOPE("pk.exec");
-                _queues[p]->runTickBelow(t, EventPriority::stats);
+                _queues[p]->runTickBelow(window.t, EventPriority::stats);
             }
-            wait(p); // window executed below stats
-            if (p != 0)
-                continue;
-            // Coordinator tail, serial while the workers park at the
-            // window barrier: flush the coupling's stat shards first so
-            // the samplers and monitors in the stats remainder observe
-            // exactly the serial kernel's counter values.
-            PROF_SCOPE("pk.tail");
-            const Clock::time_point tail0 =
-                _stats ? Clock::now() : Clock::time_point{};
-            if (_stats) {
-                _stats->windows += 1;
-                if (window.net)
-                    _stats->coupledWindows += 1;
-            }
-            if (_coupling)
-                _coupling->coupledEpilogue(t, window.net);
-            for (EventQueue *q : _queues)
-                q->runTickRemainder(t);
-            if (hooks.onWindow && !hooks.onWindow(t))
-                window.stop = true;
-            else
-                publish();
-            if (_stats)
-                _stats->serialTailSeconds +=
-                    std::chrono::duration<double>(Clock::now() - tail0)
-                        .count();
+            arrive(p, true);
         }
     };
 

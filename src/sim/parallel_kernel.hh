@@ -15,22 +15,23 @@
  * partition before tick T + lookahead — i.e. never inside the current
  * window.
  *
- * The fabric itself spans partitions, so its per-tick work runs as
- * three barrier-separated phases through the ParallelCoupling
- * interface: a read-only *plan* over stable state, a partition-local
- * *apply* that stages cross-partition flit movements into per-(src,dst)
- * SPSC channels, and a *drain* that lands the staged movements at the
- * destination partition. Each phase only writes partition-owned state,
- * and the barriers between phases publish every write before anyone
- * reads it, so the combined effect is bit-identical to the serial
- * network tick for any thread count (docs/PERFORMANCE.md has the
- * argument in full).
+ * The fabric itself spans partitions, but only through its boundary
+ * links, which carry a flit (or a credit return) in one network cycle
+ * — exactly the lookahead. So each window every partition, through the
+ * ParallelCoupling interface, first lands what its neighbours staged
+ * for it last window, then advances its own routers one cycle (staging
+ * whatever crosses a boundary), then executes its events: no partition
+ * reads another's state inside a window, and each window crosses one
+ * barrier. The coupling's exactness argument — why the result is
+ * bit-identical to the serial network tick for any thread count — is
+ * in docs/PERFORMANCE.md §4.
  *
  * The window tail (events at priority EventPriority::stats and above:
- * telemetry samplers, monitors) runs serially on the coordinator —
- * those observers read machine-wide state and are rare, so serializing
- * them costs nothing and keeps their view identical to the serial
- * kernel's.
+ * telemetry samplers, monitors) runs serially on the coordinator inside
+ * that one barrier, after every partition has arrived and before any is
+ * released — those observers read machine-wide state and are rare, so
+ * serializing them costs nothing and keeps their view identical to the
+ * serial kernel's.
  */
 
 #ifndef LIMITLESS_SIM_PARALLEL_KERNEL_HH
@@ -59,10 +60,9 @@ class EventQueue;
  * coordinator (partition 0) and read in the serial window tail
  * (telemetry samplers) or after run() — never concurrently with a
  * writer. Each partition's barrierWaitNs is written only by that
- * partition's thread, but a worker records its wait *after* waking from
- * a barrier, concurrently with the coordinator's serial tail — so that
- * one field is a relaxed atomic (monotone counter; a sampler may miss
- * the latest addition but never tears).
+ * partition's thread, after it wakes from the barrier, so a sampler in
+ * a later tail sees it — but the field stays a relaxed atomic, the
+ * cheap way to make any observer's read well-defined.
  */
 struct ParallelKernelStats
 {
@@ -100,11 +100,10 @@ struct ParallelKernelStats
 
 /**
  * The one simulation object that spans partitions (the wormhole
- * fabric). Its per-tick work is decomposed into three phases the kernel
- * runs on every partition's thread, barrier-separated; bookkeeping that
- * must be serial (stat-shard flushes, next-tick computation) lands in
- * the epilogue on the coordinator thread while the workers are parked
- * at the window barrier.
+ * fabric). Its per-window work is one step the kernel runs on every
+ * partition's thread; work that must be serial (stat-shard folds,
+ * next-tick computation, landing staged effects early) runs on the
+ * coordinator inside the window barrier while the workers are parked.
  */
 class ParallelCoupling
 {
@@ -115,25 +114,26 @@ class ParallelCoupling
      *  Only called from the coordinator between windows. */
     virtual Tick nextCoupledTick() const = 0;
 
-    /** Phase 1: plan partition @p p's share against stable pre-tick
-     *  state. Must not write anything another partition reads. */
-    virtual void planShard(unsigned p) = 0;
+    /**
+     * Partition @p p's share of one window, before its events run:
+     * land every effect other partitions staged for it last window,
+     * then, if @p coupled, advance its own share one cycle, staging
+     * every effect on another partition. Must not read or write state
+     * another partition owns.
+     */
+    virtual void step(unsigned p, bool coupled) = 0;
 
-    /** Phase 2: apply partition-local effects of the plan; stage
-     *  cross-partition effects into SPSC channels. */
-    virtual void applyShard(unsigned p) = 0;
-
-    /** Phase 3: land every staged effect addressed to partition @p p,
-     *  in source-partition order (deterministic). */
-    virtual void drainShard(unsigned p) = 0;
+    /** Serial, coordinator only: land every staged effect now, as the
+     *  next windows' steps would. The kernel calls it before observers
+     *  that read machine-wide state run, and when the run stops. */
+    virtual void settle() = 0;
 
     /**
      * Serial window epilogue on the coordinator (workers parked):
      * flush per-partition stat shards, recompute the next coupled
-     * tick. @p window is the tick just executed; @p ranCoupled says
-     * whether the three phases ran this window.
+     * tick. @p window is the tick just executed.
      */
-    virtual void coupledEpilogue(Tick window, bool ranCoupled) = 0;
+    virtual void coupledEpilogue(Tick window) = 0;
 };
 
 /**

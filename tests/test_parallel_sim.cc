@@ -1,10 +1,13 @@
 /**
  * @file
  * Serial-vs-parallel kernel equivalence properties: the same seeded
- * workload run with --sim-threads 1, 2 and 4 must produce byte-identical
- * stats JSON and telemetry (CSV + JSON sidecar). This is the contract of
- * the conservative window-parallel kernel (sim/parallel_kernel.hh):
- * thread count changes wall-clock time only, never simulated behavior.
+ * workload run with --sim-threads 1, 2, 3 and 4 must produce
+ * byte-identical stats JSON and telemetry (CSV + JSON sidecar). This is
+ * the contract of the conservative window-parallel kernel
+ * (sim/parallel_kernel.hh): thread count changes wall-clock time only,
+ * never simulated behavior. Three threads split 16 nodes unevenly, and
+ * the hotspot case backs the fabric up across partition boundaries, so
+ * the cross-partition credit mirror decides real blocking.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +19,9 @@
 
 #include "harness/experiment.hh"
 #include "machine/coherence_monitor.hh"
+#include "network/mesh_network.hh"
 #include "obs/flight_recorder.hh"
+#include "obs/host_profiler.hh"
 #include "obs/telemetry.hh"
 #include "sim/parallel_kernel.hh"
 #include "workload/random_stress.hh"
@@ -33,6 +38,9 @@ struct ParallelCase
     TopologyKind topo = TopologyKind::mesh;
     unsigned cluster = 1;
     bool hier = false;
+    /** Every processor hammers one counter line through shallow input
+     *  FIFOs and long packets: boundary links back up. */
+    bool hotspot = false;
 };
 
 std::string
@@ -43,6 +51,8 @@ caseName(const testing::TestParamInfo<ParallelCase> &info)
        << topologyKindName(info.param.topo);
     if (info.param.hier)
         os << "_hier" << info.param.cluster;
+    if (info.param.hotspot)
+        os << "_hotspot";
     std::string s = os.str();
     for (char &c : s)
         if (!isalnum(static_cast<unsigned char>(c)))
@@ -58,6 +68,8 @@ struct RunDigest
     std::string telemetryJson;
     Tick cycles = 0;
     unsigned partitions = 0;
+    std::uint64_t blocked = 0;    ///< net.blocked (credit stalls)
+    std::uint64_t xpartFlits = 0; ///< flits that crossed partitions
 };
 
 RunDigest
@@ -77,15 +89,24 @@ runOnce(const ParallelCase &pc, unsigned sim_threads)
     // so several sampled rows land in the CSV.
     cfg.cache.cacheBytes = 16 * 16;
     cfg.metricsInterval = 400;
-
-    FlightRecorder::instance().latency().reset();
-
-    Machine m(cfg);
     RandomStressParams rp;
     rp.opsPerProc = 120;
     rp.counterLines = 6;
     rp.valueLines = 10;
     rp.seed = pc.seed * 7919 + 13;
+    if (pc.hotspot) {
+        cfg.meshParams.inputFifoFlits = 2;
+        cfg.meshParams.flitsPerWord = 2;
+        rp.counterLines = 1;
+        rp.valueLines = 2;
+        // Sample often, so peak-depth windows close while flits are
+        // staged between partitions (the kernel must land them first).
+        cfg.metricsInterval = 13;
+    }
+
+    FlightRecorder::instance().latency().reset();
+
+    Machine m(cfg);
     RandomStress wl(rp);
     wl.install(m);
 
@@ -107,6 +128,10 @@ runOnce(const ParallelCase &pc, unsigned sim_threads)
     m.telemetry()->writeJson(js);
     d.telemetryCsv = csv.str();
     d.telemetryJson = js.str();
+    auto &mesh = dynamic_cast<MeshNetwork &>(m.network());
+    d.blocked =
+        static_cast<const Counter *>(mesh.stats().find("blocked"))->value();
+    d.xpartFlits = mesh.crossPartitionFlits();
     return d;
 }
 
@@ -121,7 +146,7 @@ TEST_P(ParallelSimProperty, ThreadCountNeverChangesBehavior)
     ASSERT_EQ(serial.partitions, 1u);
     ASSERT_GT(serial.cycles, 0u);
 
-    for (unsigned threads : {2u, 4u}) {
+    for (unsigned threads : {2u, 3u, 4u}) {
         const RunDigest par = runOnce(pc, threads);
         // The clamp can only reduce the partition count to the number of
         // partitionable units (clusters); 16 flat nodes / 4 chips always
@@ -133,7 +158,65 @@ TEST_P(ParallelSimProperty, ThreadCountNeverChangesBehavior)
             << "threads=" << threads;
         EXPECT_EQ(par.telemetryJson, serial.telemetryJson)
             << "threads=" << threads;
+        if (pc.hotspot) {
+            // The case only proves something if credit really ran out
+            // on links the partitions share.
+            EXPECT_GT(par.xpartFlits, 0u) << "threads=" << threads;
+            EXPECT_GT(par.blocked, 0u) << "threads=" << threads;
+        }
     }
+    if (pc.hotspot) {
+        // The peak-depth gauge is among the byte-compared columns; it is
+        // the one the parallel kernel reconstructs from staged pushes.
+        EXPECT_NE(serial.telemetryCsv.find("net.peak_queue"),
+                  std::string::npos);
+    }
+}
+
+/** Each window crosses exactly one barrier: with the profiler on, every
+ *  partition's thread opens pk.barrier once per window plus once at
+ *  start-up. Worker threads' trees merge under one path, so the
+ *  coordinator's count is checked on its own and the workers' as a sum
+ *  (each runs the same loop). */
+TEST(ParallelKernelStatsTest, OneBarrierCrossingPerWindow)
+{
+    HostProfiler::reset();
+    HostProfiler::enable();
+    MachineConfig cfg;
+    cfg.numNodes = 16;
+    cfg.protocol = protocols::limitlessStall(4, 50);
+    cfg.seed = 31;
+    cfg.topology.kind = TopologyKind::torus;
+    cfg.simThreads = 4;
+    cfg.meshParams.inputFifoFlits = 2;
+    FlightRecorder::instance().latency().reset();
+    Machine m(cfg);
+    RandomStressParams rp;
+    rp.opsPerProc = 60;
+    rp.counterLines = 1;
+    rp.seed = 5;
+    RandomStress wl(rp);
+    wl.install(m);
+    ASSERT_TRUE(m.run().completed);
+    HostProfiler::disable();
+
+    const ParallelKernelStats *pk = m.pkStats();
+    ASSERT_NE(pk, nullptr);
+    ASSERT_EQ(pk->partitions, 4u);
+    std::uint64_t coordinator = 0, workers = 0, tails = 0;
+    for (const HostProfiler::Scope &s : HostProfiler::snapshot()) {
+        if (s.path == "machine.run_parallel;pk.worker;pk.barrier")
+            coordinator += s.count;
+        else if (s.path == "pk.worker;pk.barrier")
+            workers += s.count;
+        if (s.path.ends_with("pk.tail"))
+            tails += s.count;
+    }
+    HostProfiler::reset();
+    EXPECT_GT(pk->windows, 0u);
+    EXPECT_EQ(coordinator, pk->windows + 1);
+    EXPECT_EQ(workers, (pk->partitions - 1) * (pk->windows + 1));
+    EXPECT_EQ(tails, pk->windows + 1);
 }
 
 /** The utilization exports must account for every executed event: the
@@ -214,7 +297,9 @@ INSTANTIATE_TEST_SUITE_P(
         ParallelCase{protocols::limitlessStall(4, 50), 17,
                      TopologyKind::mesh, 4, true},
         ParallelCase{protocols::dirNB(4), 29, TopologyKind::torus, 4,
-                     true}),
+                     true},
+        ParallelCase{protocols::limitlessStall(4, 50), 31,
+                     TopologyKind::torus, 1, false, true}),
     caseName);
 
 } // namespace
