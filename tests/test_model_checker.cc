@@ -50,6 +50,15 @@ struct SchemeCase
     ProtocolParams proto;
 };
 
+// gtest's default printer dumps the raw bytes, which include the tag
+// pointer and struct padding, so the listed test names would change
+// from one process to the next. Print the tag instead.
+void
+PrintTo(const SchemeCase &c, std::ostream *os)
+{
+    *os << c.tag;
+}
+
 std::string
 schemeName(const testing::TestParamInfo<SchemeCase> &info)
 {
