@@ -65,26 +65,22 @@ Machine::Machine(const MachineConfig &cfg)
                   "(cross-partition lookahead comes from its hop latency)");
         if (!cfg.txnTraceOut.empty())
             fatal("simThreads > 1 does not support transaction tracing");
-        const unsigned cluster =
-            cfg.topology.clusterSize > 1 ? cfg.topology.clusterSize : 1;
-        const unsigned units = std::max(1u, cfg.numNodes / cluster);
-        _numParts = std::min(cfg.simThreads, units);
     }
-    _partOf.resize(cfg.numNodes, 0);
+    const unsigned cluster = std::max(1u, cfg.topology.clusterSize);
+    const unsigned units = std::max(1u, cfg.numNodes / cluster);
+    _numParts = std::clamp(cfg.simThreads, 1u, units);
+    _partOf.resize(cfg.numNodes);
+    for (NodeId i = 0; i < cfg.numNodes; ++i) {
+        const unsigned unit = std::min(i / cluster, units - 1);
+        _partOf[i] = static_cast<unsigned>(
+            static_cast<std::uint64_t>(unit) * _numParts / units);
+    }
     _partQueues.assign(1, &_eq);
+    for (unsigned p = 1; p < _numParts; ++p) {
+        _workerQueues.push_back(std::make_unique<EventQueue>());
+        _partQueues.push_back(_workerQueues.back().get());
+    }
     if (_numParts > 1) {
-        const unsigned cluster =
-            cfg.topology.clusterSize > 1 ? cfg.topology.clusterSize : 1;
-        const unsigned units = std::max(1u, cfg.numNodes / cluster);
-        for (NodeId i = 0; i < cfg.numNodes; ++i) {
-            const unsigned unit = std::min(i / cluster, units - 1);
-            _partOf[i] = static_cast<unsigned>(
-                static_cast<std::uint64_t>(unit) * _numParts / units);
-        }
-        for (unsigned p = 1; p < _numParts; ++p) {
-            _workerQueues.push_back(std::make_unique<EventQueue>());
-            _partQueues.push_back(_workerQueues.back().get());
-        }
         auto *mesh = dynamic_cast<MeshNetwork *>(_net.get());
         mesh->setShard(_partOf, _partQueues);
         // Host-utilization accounting for the run; allocated here so
@@ -418,28 +414,29 @@ Machine::spawnOn(NodeId node_id, Processor::ThreadFn fn)
 RunResult
 Machine::run(Tick max_cycles)
 {
-    if (_numParts > 1)
-        return runParallel(max_cycles);
-
     PROF_SCOPE("machine.run");
     RunResult result;
     if (_spawned == 0)
         fatal("Machine::run with no threads spawned");
 
     const auto host_start = std::chrono::steady_clock::now();
-    auto host_elapsed = [host_start]() {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - host_start)
-            .count();
-    };
 
-    unsigned finished = 0;
-    Tick done_tick = 0;
-    for (auto &node : _nodes) {
-        node->processor().setOnThreadDone([&]() {
-            ++finished;
-            if (finished == _spawned)
-                done_tick = _eq.now();
+    // Completion, one slot per partition (serial is P = 1). A thread
+    // only ever retires on its own partition's queue, so each slot has
+    // a single writer, read between bursts or inside the window barrier
+    // (padded so neighbouring partitions don't false-share).
+    struct alignas(64) Retired
+    {
+        std::uint64_t count = 0;
+        Tick last = 0; ///< tick of the partition's latest retire
+    };
+    std::vector<Retired> retired(_numParts);
+    for (unsigned i = 0; i < _nodes.size(); ++i) {
+        Retired *slot = &retired[_partOf[i]];
+        const EventQueue *q = _partQueues[_partOf[i]];
+        _nodes[i]->processor().setOnThreadDone([slot, q]() {
+            ++slot->count;
+            slot->last = q->now();
         });
     }
     for (auto &node : _nodes)
@@ -448,10 +445,8 @@ Machine::run(Tick max_cycles)
     if (_telemetry)
         _telemetry->start([this]() { return allThreadsDone(); });
 
-    auto all_done = [&]() { return finished == _spawned; };
-
-    // The watchdog polls total ops once per event burst; resolve the
-    // counters up front instead of re-finding them by name each poll.
+    // The watchdog polls total ops; resolve the counters up front
+    // instead of re-finding them by name each poll.
     std::vector<const Counter *> op_counters;
     op_counters.reserve(_nodes.size());
     for (const auto &node : _nodes)
@@ -464,115 +459,106 @@ Machine::run(Tick max_cycles)
         return ops;
     };
 
+    std::vector<std::uint64_t> base_events(_numParts);
+    for (unsigned p = 0; p < _numParts; ++p)
+        base_events[p] = _partQueues[p]->executedEvents();
+
     std::uint64_t last_ops = progress();
     Tick last_progress_tick = 0;
-    std::uint64_t events = 0;
-    bool done = false;
+    std::uint64_t polls = 0;
+    // A window is one simulated tick, so the parallel kernel polls the
+    // watchdog on a stride; the panic trips at most 64 windows later
+    // than the serial loop's burst-granularity check.
+    const std::uint64_t watchdog_stride = _numParts > 1 ? 64 : 1;
+    bool aborted = false;
 
-    while (!done) {
-        // Run a burst, then poll completion and the deadlock watchdog.
+    // The poll both modes run after every event burst (serial) or
+    // window (parallel): completion, the max-cycles abort and the
+    // op-count watchdog. Returns false once the threads stop: all
+    // retired, or the run hit max_cycles.
+    auto poll = [&](Tick now) {
+        if (result.completed)
+            return false;
+        std::uint64_t count = 0;
+        Tick last = 0;
+        for (const Retired &r : retired) {
+            count += r.count;
+            last = std::max(last, r.last);
+        }
+        if (count == _spawned) {
+            result.completed = true;
+            result.cycles = last;
+            return false;
+        }
+        if (max_cycles && now > max_cycles) {
+            aborted = true;
+            result.cycles = now;
+            return false;
+        }
+        if (++polls % watchdog_stride == 0) {
+            const std::uint64_t ops = progress();
+            if (ops != last_ops) {
+                last_ops = ops;
+                last_progress_tick = now;
+            } else if (now - last_progress_tick > _cfg.watchdogCycles) {
+                dumpStats(std::cerr);
+                panic("machine: no memory operation completed for %llu "
+                      "cycles — livelock/deadlock at tick %llu",
+                      (unsigned long long)_cfg.watchdogCycles,
+                      (unsigned long long)now);
+            }
+        }
+        return true;
+    };
+
+    // Once the threads finish, both modes drain in-flight protocol
+    // traffic (write-backs, final acks) so the coherence monitor sees a
+    // quiescent machine.
+    if (_numParts == 1) {
         // runBurst returns short only when the queue drained.
-        const std::uint64_t n = _eq.runBurst(512);
-        events += n;
-        if (n < 512 && !all_done()) {
-            unsigned live = 0;
-            for (auto &nd : _nodes)
-                live += nd->processor().liveThreads();
-            panic("machine: event queue drained with %u live "
-                  "threads — deadlock", live);
+        for (bool more = true; more;) {
+            const bool drained = _eq.runBurst(512) < 512;
+            more = poll(_eq.now()) && !drained;
         }
-        done = all_done();
-        if (done)
-            break;
-        if (max_cycles && _eq.now() > max_cycles) {
-            result.cycles = _eq.now();
-            result.completed = false;
-            result.events = events;
-            result.hostSeconds = host_elapsed();
-            return result;
-        }
-        const std::uint64_t ops = progress();
-        if (ops != last_ops) {
-            last_ops = ops;
-            last_progress_tick = _eq.now();
-        } else if (_eq.now() - last_progress_tick > _cfg.watchdogCycles) {
-            dumpStats(std::cerr);
-            panic("machine: no memory operation completed for %llu "
-                  "cycles — livelock/deadlock at tick %llu",
-                  (unsigned long long)_cfg.watchdogCycles,
-                  (unsigned long long)_eq.now());
-        }
+        if (result.completed)
+            _eq.run();
+    } else {
+        runWindows([&](Tick t) { return poll(t) || result.completed; });
     }
 
-    result.cycles = done_tick;
-    result.completed = true;
-
-    // Drain in-flight protocol traffic (write-backs, final acks) so the
-    // coherence monitor sees a quiescent machine.
-    events += _eq.run();
-    result.events = events;
-    result.hostSeconds = host_elapsed();
-
-    // Close the final (partial) telemetry window so window deltas sum
-    // exactly to the run totals, drain traffic included.
-    if (_telemetry)
-        _telemetry->finish();
+    for (unsigned p = 0; p < _numParts; ++p) {
+        const std::uint64_t n =
+            _partQueues[p]->executedEvents() - base_events[p];
+        result.events += n;
+        if (_pkStats)
+            _pkStats->parts[p].events += n;
+    }
+    result.hostSeconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - host_start)
+                             .count();
 
     // Hooks must not dangle past this call.
     for (auto &node : _nodes)
         node->processor().setOnThreadDone(nullptr);
+
+    if (!result.completed && !aborted) {
+        unsigned live = 0;
+        for (auto &nd : _nodes)
+            live += nd->processor().liveThreads();
+        panic("machine: event queue drained with %u live "
+              "threads — deadlock", live);
+    }
+
+    // Close the final (partial) telemetry window so window deltas sum
+    // exactly to the run totals, drain traffic included.
+    if (result.completed && _telemetry)
+        _telemetry->finish();
     return result;
 }
 
-RunResult
-Machine::runParallel(Tick max_cycles)
+void
+Machine::runWindows(std::function<bool(Tick)> on_window)
 {
-    PROF_SCOPE("machine.run_parallel");
-    RunResult result;
-    if (_spawned == 0)
-        fatal("Machine::run with no threads spawned");
-
-    const auto host_start = std::chrono::steady_clock::now();
-    auto host_elapsed = [host_start]() {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - host_start)
-            .count();
-    };
-
-    // Per-partition completion counts. A thread only ever retires on its
-    // own partition's worker, so each slot has a single writer; the
-    // coordinator folds them at window barriers (padded so neighbouring
-    // partitions don't false-share).
-    struct alignas(64) PartCount
-    {
-        std::uint64_t v = 0;
-    };
-    std::vector<PartCount> finishedShard(_numParts);
-    for (unsigned i = 0; i < _nodes.size(); ++i) {
-        std::uint64_t *slot = &finishedShard[_partOf[i]].v;
-        _nodes[i]->processor().setOnThreadDone([slot]() { ++*slot; });
-    }
-    for (auto &node : _nodes)
-        node->processor().start();
-
-    if (_telemetry)
-        _telemetry->start([this]() { return allThreadsDone(); });
-
-    // Watchdog probe, resolved once as in the serial loop. Only the
-    // coordinator evaluates it, between window barriers, so the reads
-    // are synchronized even though the counters live on every partition.
-    std::vector<const Counter *> op_counters;
-    op_counters.reserve(_nodes.size());
-    for (const auto &node : _nodes)
-        op_counters.push_back(static_cast<const Counter *>(
-            node->statSet("proc")->find("ops")));
-    auto progress = [&op_counters]() {
-        std::uint64_t ops = 0;
-        for (const Counter *c : op_counters)
-            ops += c->value();
-        return ops;
-    };
-
     // Swap the shared telemetry histogram sinks for per-partition
     // shadows; bucket increments commute, so merging them back after the
     // run reproduces the serial histograms exactly.
@@ -597,21 +583,6 @@ Machine::runParallel(Tick max_cycles)
     std::vector<std::vector<LatencyTracker::DeferredStamp>> lat_bufs(
         _numParts);
 
-    std::uint64_t base_events = 0;
-    std::vector<std::uint64_t> base_part_events(_numParts, 0);
-    for (unsigned p = 0; p < _numParts; ++p) {
-        base_part_events[p] = _partQueues[p]->executedEvents();
-        base_events += base_part_events[p];
-    }
-
-    std::uint64_t last_ops = progress();
-    Tick last_progress_tick = 0;
-    std::uint64_t windows = 0;
-    bool threads_done = false;
-    Tick done_tick = 0;
-    bool aborted = false;
-    Tick abort_tick = 0;
-
     ParallelKernel::Hooks hooks;
     hooks.threadInit = [&](unsigned p) {
         // Every partition's thread-local recorder stamps off its own
@@ -622,52 +593,13 @@ Machine::runParallel(Tick max_cycles)
         fr.setClock(_partQueues[p]);
         fr.latency().deferTo(&lat_bufs[p], _partQueues[p]);
     };
-    hooks.onWindow = [&](Tick t) -> bool {
-        if (!threads_done) {
-            std::uint64_t fin = 0;
-            for (const PartCount &c : finishedShard)
-                fin += c.v;
-            if (fin == _spawned) {
-                threads_done = true;
-                // The last thread retired during this window, so the
-                // serial loop's done_tick (its now() at the hook) is
-                // exactly the window tick.
-                done_tick = t;
-            }
-        }
-        if (threads_done)
-            return true; // keep running: drain in-flight traffic
-        if (max_cycles && t > max_cycles) {
-            aborted = true;
-            abort_tick = t;
-            return false;
-        }
-        // A window is one simulated tick, so poll the watchdog on a
-        // stride instead of every window; the panic trips at most 64
-        // windows later than the serial loop's burst-granularity check.
-        if ((++windows & 63) == 0) {
-            const std::uint64_t ops = progress();
-            if (ops != last_ops) {
-                last_ops = ops;
-                last_progress_tick = t;
-            } else if (t - last_progress_tick > _cfg.watchdogCycles) {
-                dumpStats(std::cerr);
-                panic("machine: no memory operation completed for %llu "
-                      "cycles — livelock/deadlock at tick %llu",
-                      (unsigned long long)_cfg.watchdogCycles,
-                      (unsigned long long)t);
-            }
-        }
-        return true;
-    };
+    hooks.onWindow = std::move(on_window);
 
     auto *mesh = dynamic_cast<MeshNetwork *>(_net.get());
     // Hand the kernel the stats sink only when someone will consume it
     // (pk.* telemetry or the host profiler): the timed barrier path
     // costs two clock reads per arrival per worker per window, which is
-    // measurable on the thousands of tiny windows a run executes. The
-    // per-partition event accounting below is free (post-join) and
-    // stays on unconditionally.
+    // measurable on the thousands of tiny windows a run executes.
     const bool time_barriers = _cfg.pkTelemetry || HostProfiler::enabled();
     ParallelKernel kernel(_partQueues, mesh, _topo->minHopLookahead(),
                           time_barriers ? _pkStats.get() : nullptr);
@@ -708,47 +640,6 @@ Machine::runParallel(Tick max_cycles)
             node->dispatcher().setServiceTimeSink(_svcSink);
         }
     }
-
-    std::uint64_t events = 0;
-    for (EventQueue *q : _partQueues)
-        events += q->executedEvents();
-    events -= base_events;
-
-    // Per-partition event totals for the utilization exports (plain
-    // writes: the workers are joined).
-    for (unsigned p = 0; p < _numParts; ++p)
-        _pkStats->parts[p].events +=
-            _partQueues[p]->executedEvents() - base_part_events[p];
-
-    for (auto &node : _nodes)
-        node->processor().setOnThreadDone(nullptr);
-
-    if (aborted) {
-        result.cycles = abort_tick;
-        result.completed = false;
-        result.events = events;
-        result.hostSeconds = host_elapsed();
-        return result;
-    }
-
-    if (!threads_done) {
-        unsigned live = 0;
-        for (auto &nd : _nodes)
-            live += nd->processor().liveThreads();
-        panic("machine: event queue drained with %u live "
-              "threads — deadlock", live);
-    }
-
-    result.cycles = done_tick;
-    result.completed = true;
-    result.events = events;
-    result.hostSeconds = host_elapsed();
-
-    // The kernel runs to full drain, so the final (partial) telemetry
-    // window closes over the same quiescent machine as the serial path.
-    if (_telemetry)
-        _telemetry->finish();
-    return result;
 }
 
 bool
@@ -804,28 +695,26 @@ Machine::overflowFraction() const
     return reqs ? static_cast<double>(traps) / reqs : 0.0;
 }
 
-void
-Machine::dumpStats(std::ostream &os) const
-{
-    for (const auto &node : _nodes) {
-        for (const char *comp :
-             {"proc", "cache", "mem", "chip", "ipi", "handler"}) {
-            const StatSet *set = node->statSet(comp);
-            if (set)
-                set->dump(os);
-        }
-    }
-}
-
 namespace
 {
 
-/** Components aggregated and detailed by dumpStatsJson. */
+/** Per-node components dumped by dumpStats and dumpStatsJson. */
 constexpr const char *statComponents[] = {"proc", "cache", "mem",
                                           "chip", "ipi",   "handler",
                                           "trap"};
 
 } // namespace
+
+void
+Machine::dumpStats(std::ostream &os) const
+{
+    for (const auto &node : _nodes)
+        for (const char *comp : statComponents)
+            if (const StatSet *set = node->statSet(comp))
+                set->dump(os);
+    if (const StatSet *net = _net->statSet())
+        net->dump(os);
+}
 
 void
 Machine::dumpStatsJson(std::ostream &os, Tick cycles,

@@ -8,6 +8,7 @@
 #ifndef LIMITLESS_MACHINE_MACHINE_HH
 #define LIMITLESS_MACHINE_MACHINE_HH
 
+#include <functional>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -74,8 +75,8 @@ class Machine
     /** Bind a thread program to a hardware context on a node. */
     void spawnOn(NodeId node, Processor::ThreadFn fn);
 
-    /** True once every spawned thread has completed (samplers use this
-     *  as their stop predicate). */
+    /** True once every spawned thread has completed (telemetry uses
+     *  this as its stop predicate). */
     bool allThreadsDone() const;
 
     /**
@@ -134,9 +135,11 @@ class Machine
 
   private:
     void setupTelemetry();
-    /** Window-parallel run loop (cfg.simThreads > 1). Simulated behavior
-     *  is bit-identical to the serial run(); see sim/parallel_kernel.hh. */
-    RunResult runParallel(Tick max_cycles);
+    /** run()'s queue advance for numParts > 1: the window-parallel kernel,
+     *  calling @p on_window after every window until it returns false
+     *  or the machine drains. Simulated behavior is bit-identical to the
+     *  serial burst loop; see sim/parallel_kernel.hh. */
+    void runWindows(std::function<bool(Tick)> on_window);
     MachineConfig _cfg;
     EventQueue _eq;
     std::shared_ptr<const Topology> _topo;
@@ -154,7 +157,7 @@ class Machine
     std::vector<std::unique_ptr<Node>> _nodes;
     std::unique_ptr<Telemetry> _telemetry;
     /** The shared producer-side histogram sinks registered by
-     *  setupTelemetry (null when telemetry is off); runParallel swaps in
+     *  setupTelemetry (null when telemetry is off); runWindows swaps in
      *  per-partition shadows and merges them back here. */
     class Log2Histogram *_wsSink = nullptr;
     class Log2Histogram *_svcSink = nullptr;

@@ -66,7 +66,6 @@ MeshNetwork::MeshNetwork(EventQueue &eq, std::shared_ptr<const Topology> topo,
     const std::uint32_t total = _portBase[n];
     _inPorts.resize(total);
     _outPorts.resize(total);
-    _staged.resize(total, 0);
     _activeRouters.resize((n + 63) / 64, 0);
 
     // Neighbor ports are credit-bounded; Local (last) grows on demand.
@@ -94,6 +93,19 @@ MeshNetwork::MeshNetwork(EventQueue &eq, std::shared_ptr<const Topology> topo,
             }
         }
     }
+#ifndef NDEBUG
+    // planRouter checks credit against the downstream depth with no
+    // same-tick reservation, in both modes, which is exact only because
+    // every neighbour input port has exactly one upstream output and an
+    // output plans at most one move per tick (docs/PERFORMANCE.md §4).
+    std::vector<std::uint8_t> upstreams(total, 0);
+    for (unsigned r = 0; r < n; ++r)
+        for (std::uint32_t o = _portBase[r]; o + 1 < _portBase[r + 1]; ++o)
+            ++upstreams[_portBase[_destRouter[o]] + _destPort[o]];
+    for (unsigned r = 0; r < n; ++r)
+        for (std::uint32_t i = _portBase[r]; i + 1 < _portBase[r + 1]; ++i)
+            assert(upstreams[i] == 1 && "input port without one upstream");
+#endif
     _routeTable.resize(std::size_t{n} * n);
     for (unsigned r = 0; r < n; ++r) {
         for (unsigned d = 0; d < n; ++d) {
@@ -134,51 +146,49 @@ MeshNetwork::send(PacketPtr pkt)
 {
     assert(pkt);
     assert(pkt->src < numNodes() && pkt->dest < numNodes());
-    const unsigned flits = flitsForPacket(*pkt);
+    const NodeId src = pkt->src;
     if (_shard) {
         // Shard mode: the caller is the thread owning src's partition
         // (node work only runs there), so every touched structure —
         // src's router, the partition shard, the partition clock — is
         // single-writer. No tick event is scheduled; the epilogue's
         // activeDelta fold makes the kernel run the fabric next tick.
-        const unsigned p = _partOf[pkt->src];
-        EventQueue &eq = *_shardQueues[p];
-        FR_RECORD(netEvent(eq.now(), "send", *pkt, pkt->src));
-        Packet *raw = pkt.release();
-        raw->injectTick = eq.now();
-
-        const unsigned local = numPortsOf(raw->src) - 1;
-        FlitFifo &fifo = _inPorts[_portBase[raw->src] + local];
-        for (unsigned i = 0; i < flits; ++i)
-            fifo.push_back(Flit{raw, i == 0, i == flits - 1, raw->dest});
-        Router &router = _routers[raw->src];
-        router.nonEmptyMask |= std::uint16_t{1} << local;
+        const unsigned p = _partOf[src];
+        const unsigned flits = inject(std::move(pkt), *_shardQueues[p]);
+        Router &router = _routers[src];
         router.flits += flits;
         Shard &sh = _shards[p];
         if (_telem) {
-            noteTickFlow(raw->src, sh).sends += flits;
+            noteTickFlow(src, sh).sends += flits;
             if (router.flits > sh.peak)
                 sh.peak = router.flits;
         }
         if (router.flits == flits)
-            noteFlitsShard(raw->src, true);
+            noteFlitsShard(src, true);
         sh.activeDelta += flits;
         sh.flits += flits;
         return;
     }
-    FR_RECORD(netEvent(_eq.now(), "send", *pkt, pkt->src));
-    Packet *raw = pkt.release();
-    raw->injectTick = _eq.now();
+    const unsigned flits = inject(std::move(pkt), _eq);
+    noteFlits(src, flits, 0);
+    _activeFlits += flits;
+    _statFlits += flits;
+    scheduleTickIfNeeded();
+}
 
+unsigned
+MeshNetwork::inject(PacketPtr pkt, const EventQueue &eq)
+{
+    FR_RECORD(netEvent(eq.now(), "send", *pkt, pkt->src));
+    Packet *raw = pkt.release();
+    raw->injectTick = eq.now();
+    const unsigned flits = flitsForPacket(*raw);
     const unsigned local = numPortsOf(raw->src) - 1;
     FlitFifo &fifo = _inPorts[_portBase[raw->src] + local];
     for (unsigned i = 0; i < flits; ++i)
         fifo.push_back(Flit{raw, i == 0, i == flits - 1, raw->dest});
     _routers[raw->src].nonEmptyMask |= std::uint16_t{1} << local;
-    noteFlits(raw->src, flits, 0);
-    _activeFlits += flits;
-    _statFlits += flits;
-    scheduleTickIfNeeded();
+    return flits;
 }
 
 void
@@ -197,9 +207,10 @@ MeshNetwork::scheduleTickIfNeeded()
                  EventPriority::network);
 }
 
+template <class DepthFn>
 void
-MeshNetwork::planRouter(unsigned r, std::vector<Move> &moves,
-                        std::uint64_t &blocked)
+MeshNetwork::planRouter(unsigned r, DepthFn depthOf,
+                        std::vector<Move> &moves, std::uint64_t &blocked)
 {
     Router &router = _routers[r];
     const std::uint32_t base = _portBase[r];
@@ -279,14 +290,13 @@ MeshNetwork::planRouter(unsigned r, std::vector<Move> &moves,
             move.eject = false;
             move.toRouter = _destRouter[base + o];
             move.toPort = _destPort[base + o];
-            const std::uint32_t idx =
-                _portBase[move.toRouter] + move.toPort;
-            if (_inPorts[idx].size() + _staged[idx] >=
+            // No same-tick reservation is needed: the port's one
+            // upstream output is this one, planning once per tick.
+            if (depthOf(_portBase[move.toRouter] + move.toPort) >=
                 _params.inputFifoFlits) {
                 blocked += 1;
                 continue; // no credit downstream
             }
-            ++_staged[idx];
         }
         moves.push_back(move);
     }
@@ -340,17 +350,17 @@ MeshNetwork::tick()
 {
     PROF_SCOPE("net.tick");
     // Plan all single-hop moves against pre-cycle state, then apply, so a
-    // flit advances at most one hop per network cycle. The scratch vectors
-    // are members: tick() runs every network cycle and must not allocate.
+    // flit advances at most one hop per network cycle. The move list is
+    // a member: tick() runs every network cycle and must not allocate.
     _moves.clear();
-    std::fill(_staged.begin(), _staged.end(), std::uint8_t{0});
     std::uint64_t blocked = 0;
+    auto fifoDepth = [this](std::uint32_t i) { return _inPorts[i].size(); };
     for (std::size_t w = 0; w < _activeRouters.size(); ++w) {
         std::uint64_t bits = _activeRouters[w];
         while (bits) {
             planRouter(static_cast<unsigned>(
                            w * 64 + std::countr_zero(bits)),
-                       _moves, blocked);
+                       fifoDepth, _moves, blocked);
             bits &= bits - 1;
         }
     }
@@ -365,17 +375,25 @@ MeshNetwork::deliver(Packet *raw)
 {
     _statLatency.sample(static_cast<double>(_eq.now() - raw->injectTick));
     _statPackets += 1;
+    handOff(raw, _eq);
+}
 
+void
+MeshNetwork::handOff(Packet *raw, EventQueue &eq)
+{
     PacketPtr owned(raw);
-    FR_RECORD(netEvent(_eq.now(), "recv", *owned, owned->dest));
+    FR_RECORD(netEvent(eq.now(), "recv", *owned, owned->dest));
     Receiver &recv = _receivers.at(owned->dest);
     if (!recv)
         panic("mesh network: no receiver at node %u", owned->dest);
     if (Log::enabled("net"))
-        Log::debug(_eq.now(), "net", "deliver %s",
+        Log::debug(eq.now(), "net", "deliver %s",
                    describePacket(*owned).c_str());
     // Hand off at deliver priority so controllers see the packet after all
-    // of this cycle's flit movement completes.
+    // of this cycle's flit movement completes. In shard mode the ejecting
+    // router belongs to the caller's partition, so @p eq is that
+    // partition's queue and the handoffs land in apply order: the serial
+    // schedule order restricted to the partition's routers.
     Packet *pending = owned.release();
     auto handoff = [this, pending]() {
         PacketPtr p(pending);
@@ -383,7 +401,7 @@ MeshNetwork::deliver(Packet *raw)
     };
     static_assert(EventQueue::Callback::fitsInline<decltype(handoff)>,
                   "mesh delivery event must not heap-allocate");
-    _eq.schedule(_eq.now(), std::move(handoff), EventPriority::deliver);
+    eq.schedule(eq.now(), std::move(handoff), EventPriority::deliver);
 }
 
 // ---------------------------------------------------------------------
@@ -420,18 +438,6 @@ MeshNetwork::setShard(std::vector<unsigned> part_of,
     assert(_partOf[_numNodes - 1] == _numParts - 1 &&
            "every partition must own at least one router");
 
-#ifndef NDEBUG
-    // The depth mirror's exactness rests on every neighbour input port
-    // having exactly one upstream output (docs/PERFORMANCE.md §4).
-    std::vector<std::uint8_t> upstreams(_inPorts.size(), 0);
-    for (unsigned r = 0; r < _numNodes; ++r)
-        for (std::uint32_t o = _portBase[r]; o + 1 < _portBase[r + 1]; ++o)
-            ++upstreams[_portBase[_destRouter[o]] + _destPort[o]];
-    for (unsigned r = 0; r < _numNodes; ++r)
-        for (std::uint32_t i = _portBase[r]; i + 1 < _portBase[r + 1]; ++i)
-            assert(upstreams[i] == 1 && "input port without one upstream");
-#endif
-
     _shards = std::vector<Shard>(_numParts);
     for (Shard &sh : _shards)
         sh.moves.reserve(32);
@@ -454,6 +460,9 @@ MeshNetwork::step(unsigned p, bool coupled)
     sh.moves.clear();
     const unsigned lo = _partLo[p];
     const unsigned hi = _partLo[p + 1];
+    // Credit comes from the depth mirror, never from the downstream
+    // FIFO, which may belong to a partition that is mid-window.
+    auto mirrorDepth = [this](std::uint32_t i) { return _mirrorDepth[i]; };
     {
         PROF_SCOPE("pk.plan");
         // Scan the partition's slice of the active bitmap. A boundary
@@ -469,9 +478,9 @@ MeshNetwork::step(unsigned p, bool coupled)
             if (w == (hi - 1) / 64 && hi % 64)
                 bits &= ~(~std::uint64_t{0} << (hi % 64));
             while (bits) {
-                planRouterShard(static_cast<unsigned>(
-                                    w * 64 + std::countr_zero(bits)),
-                                sh);
+                planRouter(static_cast<unsigned>(
+                               w * 64 + std::countr_zero(bits)),
+                           mirrorDepth, sh.moves, sh.blocked);
                 bits &= bits - 1;
             }
         }
@@ -480,94 +489,6 @@ MeshNetwork::step(unsigned p, bool coupled)
         PROF_SCOPE("pk.apply");
         for (const Move &move : sh.moves)
             applyMoveShard(move, p);
-    }
-}
-
-void
-MeshNetwork::planRouterShard(unsigned r, Shard &sh)
-{
-    // planRouter with one difference: credit comes from the depth
-    // mirror, never from the downstream FIFO, which may belong to a
-    // partition that is mid-window. (planRouter's _staged reservation
-    // is always zero at its check — one upstream output per input port
-    // — so the mirror needs no counterpart.)
-    Router &router = _routers[r];
-    const std::uint32_t base = _portBase[r];
-    const unsigned num_ports = _portBase[r + 1] - base;
-    const unsigned local = num_ports - 1;
-    const std::uint8_t *routes =
-        &_routeTable[std::size_t{r} * _numNodes];
-
-    std::uint16_t contend[maxPorts] = {};
-    const unsigned nonEmpty = router.nonEmptyMask;
-    unsigned outputs = router.ownerMask;
-    for (unsigned bits = nonEmpty; bits; bits &= bits - 1) {
-        const unsigned i = static_cast<unsigned>(std::countr_zero(bits));
-        const Flit &front = _inPorts[base + i].front();
-        if (!front.head)
-            continue;
-        const std::uint8_t rp = routes[front.dest];
-        unsigned o;
-        if (rp == localSelf) {
-            o = local;
-        } else if (_vcs == 1) {
-            o = rp;
-        } else {
-            unsigned carry = 0;
-            if (i != local && (i & 1)) {
-                const std::uint16_t dims = _chanDimMask[r];
-                carry = ((dims >> (i >> 1)) & 1) ==
-                        ((dims >> (rp >> 1)) & 1);
-            }
-            o = rp | carry;
-        }
-        contend[o] |= std::uint16_t{1} << i;
-        outputs |= 1u << o;
-    }
-
-    for (unsigned obits = outputs; obits; obits &= obits - 1) {
-        const unsigned o = static_cast<unsigned>(std::countr_zero(obits));
-        OutputPort &op = _outPorts[base + o];
-        int src = op.owner;
-        if (src == -1 && contend[o]) {
-            for (unsigned k = 0; k < num_ports; ++k) {
-                unsigned i = op.rr + k;
-                if (i >= num_ports)
-                    i -= num_ports;
-                if (!(contend[o] & (std::uint16_t{1} << i)))
-                    continue;
-                src = static_cast<int>(i);
-                op.rr = i + 1 == num_ports ? 0 : i + 1;
-                op.owner = src;
-                router.ownerMask |= std::uint16_t{1} << o;
-                break;
-            }
-        }
-        if (src == -1)
-            continue;
-        if (!(nonEmpty & (std::uint16_t{1} << src)))
-            continue;
-
-        const Flit &flit = _inPorts[base + src].front();
-
-        Move move{};
-        move.fromRouter = r;
-        move.fromPort = static_cast<unsigned>(src);
-        move.outPort = o;
-        move.releaseOwner = flit.tail;
-        if (o == local) {
-            move.eject = true;
-        } else {
-            move.eject = false;
-            move.toRouter = _destRouter[base + o];
-            move.toPort = _destPort[base + o];
-            if (_mirrorDepth[_portBase[move.toRouter] + move.toPort] >=
-                _params.inputFifoFlits) {
-                sh.blocked += 1;
-                continue; // no credit downstream
-            }
-        }
-        sh.moves.push_back(move);
     }
 }
 
@@ -695,24 +616,7 @@ MeshNetwork::deliverShard(Packet *raw, unsigned p)
     EventQueue &eq = *_shardQueues[p];
     sh.latency.push_back(static_cast<double>(eq.now() - raw->injectTick));
     sh.packets += 1;
-
-    PacketPtr owned(raw);
-    FR_RECORD(netEvent(eq.now(), "recv", *owned, owned->dest));
-    Receiver &recv = _receivers.at(owned->dest);
-    if (!recv)
-        panic("mesh network: no receiver at node %u", owned->dest);
-    // Ejection happens at the destination router, which this partition
-    // owns, so the handoff lands on the partition's own queue — in
-    // apply order, which is the serial schedule order restricted to
-    // this partition's routers.
-    Packet *pending = owned.release();
-    auto handoff = [this, pending]() {
-        PacketPtr pp(pending);
-        _receivers.at(pp->dest)(std::move(pp));
-    };
-    static_assert(EventQueue::Callback::fitsInline<decltype(handoff)>,
-                  "mesh delivery event must not heap-allocate");
-    eq.schedule(eq.now(), std::move(handoff), EventPriority::deliver);
+    handOff(raw, eq);
 }
 
 void

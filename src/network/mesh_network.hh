@@ -65,9 +65,7 @@ struct WormholeParams
  * staging every push. Every statistic accumulates into per-partition
  * shards that the window epilogue folds back — in an order chosen so
  * the folded values are bit-identical to the serial kernel's
- * (docs/PERFORMANCE.md §4 lays out the argument). The serial path is
- * never touched by shard-mode code: with setShard never called,
- * behaviour is byte-identical to previous releases.
+ * (docs/PERFORMANCE.md §4 lays out the argument).
  */
 class MeshNetwork : public Network, public ParallelCoupling
 {
@@ -260,10 +258,16 @@ class MeshNetwork : public Network, public ParallelCoupling
     };
 
     void tick();
-    void planRouter(unsigned r, std::vector<Move> &moves,
+    /**
+     * Plan router @p r's moves for one cycle against pre-cycle state,
+     * appending them to @p moves and counting credit-blocked outputs in
+     * @p blocked. @p depthOf(port) is the downstream input port's
+     * depth: the FIFO itself serially, the depth mirror in shard mode.
+     */
+    template <class DepthFn>
+    void planRouter(unsigned r, DepthFn depthOf, std::vector<Move> &moves,
                     std::uint64_t &blocked);
     void applyMove(const Move &move);
-    void planRouterShard(unsigned r, Shard &sh);
     void applyMoveShard(const Move &move, unsigned p);
     /** Land everything buffer @p buf holds for partition @p p: credit
      *  returns into its mirror, pushes into its routers in source
@@ -271,8 +275,13 @@ class MeshNetwork : public Network, public ParallelCoupling
     void landStaged(unsigned p, unsigned buf);
     void clearTickFlow(unsigned p);
     void scheduleTickIfNeeded();
+    /** Queue @p pkt's flits on its source router's Local port, stamped
+     *  with @p eq's clock. @return the flit count. */
+    unsigned inject(PacketPtr pkt, const EventQueue &eq);
     void deliver(Packet *raw);
     void deliverShard(Packet *raw, unsigned p);
+    /** Schedule @p raw's handoff to its receiver on @p eq. */
+    void handOff(Packet *raw, EventQueue &eq);
 
     Channel &
     channel(unsigned buf, unsigned src, unsigned dst)
@@ -341,7 +350,6 @@ class MeshNetwork : public Network, public ParallelCoupling
 
     /** Per-tick planning scratch, hoisted so tick() never allocates. */
     std::vector<Move> _moves;
-    std::vector<std::uint8_t> _staged;
 
     /**
      * Flat per-port state: router r owns indices [_portBase[r],
@@ -397,7 +405,7 @@ class MeshNetwork : public Network, public ParallelCoupling
      * stages a push, lowered when the pop is credited back. Written
      * only by that partition, so its planner reads credit without
      * touching a FIFO another partition may be landing flits into; at
-     * plan time it equals the pre-tick depth the serial planRouter
+     * plan time it equals the pre-tick FIFO depth the serial tick
      * reads (docs/PERFORMANCE.md §4).
      */
     std::vector<std::uint32_t> _mirrorDepth;

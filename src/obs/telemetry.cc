@@ -126,8 +126,8 @@ Telemetry::scheduleNext()
         if (!_running)
             return;
         sampleWindow();
-        // Stop check runs *after* sampling (Sampler's idiom) so the
-        // run's final full interval is recorded before the queue drains.
+        // Stop check runs *after* sampling so the run's final full
+        // interval is recorded before the queue drains.
         if (_done && _done()) {
             _running = false;
             return;

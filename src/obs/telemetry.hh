@@ -15,9 +15,9 @@
  *    metric costs zero on the simulation hot path. Producers only expose
  *    cheap cumulative counters or O(nodes) probes evaluated once per
  *    window.
- *  - Event-driven: one EventPriority::stats event per interval (the same
- *    idiom as stats::Sampler), so sampling never perturbs protocol event
- *    order or simulated timing.
+ *  - Event-driven: one EventPriority::stats event per interval, after
+ *    every protocol event of its tick, so sampling never perturbs
+ *    protocol event order or simulated timing.
  *  - ParallelRunner-safe: a Telemetry instance belongs to one Machine and
  *    touches only that machine's EventQueue; per-run output files are
  *    derived from per-run labels by the harness.
@@ -181,8 +181,8 @@ class Telemetry
 
     /**
      * Begin interval sampling. The @p done predicate is checked *after*
-     * each sample (Sampler's idiom) so the final full window is recorded
-     * and the event queue is not kept alive past the run.
+     * each sample, so the final full window is recorded and the event
+     * queue is not kept alive past the run.
      */
     void start(std::function<bool()> done);
 

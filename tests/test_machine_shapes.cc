@@ -142,7 +142,24 @@ makeShapes()
 INSTANTIATE_TEST_SUITE_P(Shapes, MachineShape,
                          testing::ValuesIn(makeShapes()), shapeName);
 
-TEST(MachineRobustness, DrainedQueueWithLiveThreadsIsDetected)
+/** The run loop's exits — deadlock, max-cycles abort, watchdog — in
+ *  both modes: the serial burst loop and, with two partitions (one
+ *  node each), the window-parallel kernel. */
+class MachineExit : public testing::TestWithParam<unsigned>
+{
+  protected:
+    MachineConfig
+    config() const
+    {
+        MachineConfig cfg;
+        cfg.numNodes = 2;
+        cfg.protocol = protocols::fullMap();
+        cfg.simThreads = GetParam();
+        return cfg;
+    }
+};
+
+TEST_P(MachineExit, DrainedQueueWithLiveThreadsIsDetected)
 {
     // A thread parked on an awaitable nothing will ever resume: the
     // event queue drains while the thread is still live, which the run
@@ -153,10 +170,8 @@ TEST(MachineRobustness, DrainedQueueWithLiveThreadsIsDetected)
         void await_suspend(std::coroutine_handle<>) noexcept {}
         void await_resume() const noexcept {}
     };
-    MachineConfig cfg;
-    cfg.numNodes = 2;
-    cfg.protocol = protocols::fullMap();
-    Machine m(cfg);
+    Machine m(config());
+    ASSERT_EQ(m.numPartitions(), GetParam());
     m.spawnOn(0, [](ThreadApi &t) -> Task<> {
         co_await t.compute(5);
         co_await Never{};
@@ -164,12 +179,10 @@ TEST(MachineRobustness, DrainedQueueWithLiveThreadsIsDetected)
     EXPECT_DEATH(m.run(), "deadlock");
 }
 
-TEST(MachineRobustness, MaxCyclesCapReturnsIncomplete)
+TEST_P(MachineExit, MaxCyclesCapReturnsIncomplete)
 {
-    MachineConfig cfg;
-    cfg.numNodes = 2;
-    cfg.protocol = protocols::fullMap();
-    Machine m(cfg);
+    Machine m(config());
+    ASSERT_EQ(m.numPartitions(), GetParam());
     m.spawnOn(0, [](ThreadApi &t) -> Task<> {
         for (int i = 0; i < 1000; ++i)
             co_await t.compute(100);
@@ -178,6 +191,26 @@ TEST(MachineRobustness, MaxCyclesCapReturnsIncomplete)
     EXPECT_FALSE(r.completed);
     EXPECT_LT(r.cycles, 100000u);
 }
+
+TEST_P(MachineExit, WatchdogCatchesThreadsThatNeverTouchMemory)
+{
+    // Computing forever keeps the queue busy but completes no memory
+    // operation, so the op-count watchdog must fire.
+    MachineConfig cfg = config();
+    cfg.watchdogCycles = 10000;
+    Machine m(cfg);
+    ASSERT_EQ(m.numPartitions(), GetParam());
+    m.spawnOn(0, [](ThreadApi &t) -> Task<> {
+        for (;;)
+            co_await t.compute(100);
+    });
+    EXPECT_DEATH(m.run(), "no memory operation completed");
+}
+
+INSTANTIATE_TEST_SUITE_P(SimThreads, MachineExit, testing::Values(1u, 2u),
+                         [](const testing::TestParamInfo<unsigned> &info) {
+                             return "t" + std::to_string(info.param);
+                         });
 
 TEST(MachineRobustness, StatsDumpMentionsEveryComponent)
 {
@@ -194,7 +227,7 @@ TEST(MachineRobustness, StatsDumpMentionsEveryComponent)
     const std::string text = os.str();
     for (const char *needle :
          {"proc.ops", "cache.hits", "mem.rreq", "ipi.diverted",
-          "handler.traps"}) {
+          "handler.traps", "trap.cycles", "net.packets"}) {
         EXPECT_NE(text.find(needle), std::string::npos) << needle;
     }
 }

@@ -205,7 +205,7 @@ TEST(ParallelKernelStatsTest, OneBarrierCrossingPerWindow)
     ASSERT_EQ(pk->partitions, 4u);
     std::uint64_t coordinator = 0, workers = 0, tails = 0;
     for (const HostProfiler::Scope &s : HostProfiler::snapshot()) {
-        if (s.path == "machine.run_parallel;pk.worker;pk.barrier")
+        if (s.path == "machine.run;pk.worker;pk.barrier")
             coordinator += s.count;
         else if (s.path == "pk.worker;pk.barrier")
             workers += s.count;

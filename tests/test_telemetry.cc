@@ -208,6 +208,14 @@ TEST(Telemetry, FinishRecordsThePartialTailWindow)
     EXPECT_DOUBLE_EQ(t.values("rate")[0], 10.0);
 }
 
+TEST(Telemetry, UnknownSeriesNameIsFatal)
+{
+    EventQueue eq;
+    Telemetry t(eq, 5);
+    t.addRate("rate", []() { return 0.0; });
+    EXPECT_DEATH(t.values("nope"), "no column named 'nope'");
+}
+
 TEST(Telemetry, CsvRoundTripsSchemaHeaderAndRows)
 {
     EventQueue eq;
