@@ -190,15 +190,15 @@ CacheController::startAccess(const MemOp &op, Completion done,
         _statUpgrades += 1;
 
     if (!upgrade) {
-        CacheLine &victim = _array.setFor(line);
-        if (victim.valid()) {
-            if (victim.state == CacheState::readWrite) {
+        CacheLine *victim = _array.atSet(_array.indexOf(line));
+        if (victim && victim->valid()) {
+            if (victim->state == CacheState::readWrite) {
                 _statRepm += 1;
                 auto pkt = makeDataPacket(
-                    _self, _amap.requestTargetFor(victim.tag, _self),
-                    Opcode::REPM, victim.tag, victim.words.data(),
+                    _self, _amap.requestTargetFor(victim->tag, _self),
+                    Opcode::REPM, victim->tag, victim->words.data(),
                     _amap.wordsPerLine());
-                victim.state = CacheState::invalid;
+                victim->state = CacheState::invalid;
                 _send(std::move(pkt));
             } else if (_protocol == ProtocolKind::chained) {
                 // Chained lines may not be dropped silently: ask the home
@@ -206,17 +206,17 @@ CacheController::startAccess(const MemOp &op, Completion done,
                 // DESIGN.md). The real request is sent after REPC_ACK.
                 _statRepc += 1;
                 txn.awaitingRepc = true;
-                txn.repcLine = victim.tag;
+                txn.repcLine = victim->tag;
                 auto pkt = makeProtocolPacket(
-                    _self, _amap.requestTargetFor(victim.tag, _self),
-                    Opcode::REPC, victim.tag);
+                    _self, _amap.requestTargetFor(victim->tag, _self),
+                    Opcode::REPC, victim->tag);
                 auto [it, ok] = _txns.emplace(line, std::move(txn));
                 assert(ok);
                 (void)it;
                 _send(std::move(pkt));
                 return;
             } else {
-                victim.state = CacheState::invalid; // silent clean drop
+                victim->state = CacheState::invalid; // silent clean drop
             }
         }
     }
@@ -447,18 +447,19 @@ void
 CacheController::checkpoint(std::ostream &os) const
 {
     os << "cache" << _self << "{";
-    // Resident lines, in set order (the array is a fixed-size vector).
+    // Resident lines, in set order (not the pool's fill order, so the
+    // fingerprint does not depend on the order sets were first filled).
     for (std::size_t s = 0; s < _array.numSets(); ++s) {
-        const CacheLine &cl = _array.setFor(s * _amap.lineBytes());
-        if (!cl.valid())
+        const CacheLine *cl = _array.atSet(s);
+        if (!cl || !cl->valid())
             continue;
-        os << "L" << std::hex << cl.tag << std::dec << ":"
-           << cacheStateName(cl.state);
-        if (cl.chainNext != invalidNode)
-            os << ">" << cl.chainNext;
+        os << "L" << std::hex << cl->tag << std::dec << ":"
+           << cacheStateName(cl->state);
+        if (cl->chainNext != invalidNode)
+            os << ">" << cl->chainNext;
         os << "=";
         for (unsigned w = 0; w < _amap.wordsPerLine(); ++w)
-            os << cl.words[w] << (w + 1 < _amap.wordsPerLine() ? "," : "");
+            os << cl->words[w] << (w + 1 < _amap.wordsPerLine() ? "," : "");
         os << ";";
     }
     // Outstanding transactions, in line order. Timing-only fields

@@ -35,6 +35,7 @@
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "directory/directory.hh"
 #include "directory/limitless_dir.hh"
@@ -76,7 +77,7 @@ struct ChipLine
     NodeId evictVictim = invalidNode; ///< hChipET victim
     std::uint32_t retries = 0;        ///< BUSY backoff rounds (parent)
     LineWords data{};                 ///< the chip-level copy
-    std::deque<PacketPtr> deferred;   ///< parked local requests
+    std::vector<PacketPtr> deferred;  ///< parked local requests
 };
 
 /** The per-node chip-home controller (two-level mode only). */

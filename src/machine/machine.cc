@@ -11,6 +11,7 @@
 #include "directory/full_map_dir.hh"
 #include "directory/limited_dir.hh"
 #include "directory/limitless_dir.hh"
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include "obs/flight_recorder.hh"
@@ -23,6 +24,14 @@
 
 namespace limitless
 {
+
+std::uint64_t
+hostPeakRssKb()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return static_cast<std::uint64_t>(ru.ru_maxrss);
+}
 
 Machine::Machine(const MachineConfig &cfg)
     : _cfg(cfg), _topo(cfg.makeTopology()),
@@ -851,6 +860,7 @@ Machine::dumpStatsJson(std::ostream &os, Tick cycles,
            << ",\n";
         os << "    \"hostname\": ";
         jsonEscape(os, hostname);
+        os << ",\n    \"peak_rss_kb\": " << hostPeakRssKb();
         // windows == 0 means the kernel ran without the stats sink
         // (neither pk telemetry nor the profiler wanted it), so there
         // is no utilization data to report.

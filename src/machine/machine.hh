@@ -44,6 +44,11 @@ struct RunResult
     }
 };
 
+/** The process's peak resident set so far, in KiB (getrusage's
+ *  ru_maxrss on Linux). Host-dependent: reported under stats JSON's
+ *  "host" object only. */
+std::uint64_t hostPeakRssKb();
+
 /** A complete simulated multiprocessor. */
 class Machine
 {

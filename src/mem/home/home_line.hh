@@ -11,7 +11,7 @@
 #define LIMITLESS_MEM_HOME_HOME_LINE_HH
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "proto/packet.hh"
 #include "proto/states.hh"
@@ -43,8 +43,10 @@ struct HomeLine
     /** Chained-walk bookkeeping. */
     NodeId walkTarget = invalidNode;
     NodeId repcRequester = invalidNode;
-    /** Requests parked during a transaction (see MemParams). */
-    std::deque<PacketPtr> deferred;
+    /** Requests parked during a transaction (see MemParams). A vector,
+     *  not a deque: it allocates on the first park, while a libstdc++
+     *  deque allocates 576 B when constructed, in every line record. */
+    std::vector<PacketPtr> deferred;
 };
 
 } // namespace limitless

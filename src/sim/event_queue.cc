@@ -12,8 +12,11 @@ namespace limitless
 EventQueue::EventQueue() : _slots(wheelSpan)
 {
     // Pre-size the overflow heap so steady-state scheduling never grows
-    // it; wheel buckets keep whatever capacity they reach, so after
-    // warm-up a schedule() is a plain store into an existing vector.
+    // it. A drained bucket hands its vector to the spare list and an
+    // empty slot takes one back, so retained capacity follows the
+    // buckets live at once rather than every slot's busiest tick, and
+    // after warm-up a schedule() is still a plain store into an
+    // existing vector.
     _overflow.reserve(1024);
 }
 
@@ -49,7 +52,12 @@ void
 EventQueue::wheelInsert(Entry &&e)
 {
     const std::size_t slot = e.when & wheelMask;
-    _slots[slot].push_back(std::move(e));
+    std::vector<Entry> &bucket = _slots[slot];
+    if (bucket.capacity() == 0 && !_spare.empty()) {
+        bucket = std::move(_spare.back());
+        _spare.pop_back();
+    }
+    bucket.push_back(std::move(e));
     _occupied[slot / 64] |= std::uint64_t{1} << (slot % 64);
 }
 
@@ -91,6 +99,17 @@ EventQueue::wheelNextTick() const
         }
     }
     return maxTick;
+}
+
+std::size_t
+EventQueue::reservedEntries() const
+{
+    std::size_t n = 0;
+    for (const std::vector<Entry> &bucket : _slots)
+        n += bucket.capacity();
+    for (const std::vector<Entry> &bucket : _spare)
+        n += bucket.capacity();
+    return n;
 }
 
 Tick
@@ -138,6 +157,7 @@ EventQueue::finishBucket()
 {
     std::vector<Entry> &slot = _slots[_now & wheelMask];
     slot.clear();
+    _spare.push_back(std::move(slot));
     _order.clear();
     _cursor = 0;
     _sortedTick = maxTick;

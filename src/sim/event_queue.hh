@@ -133,6 +133,10 @@ class EventQueue
     /** Earliest pending tick, or maxTick when empty. */
     Tick nextEventTick() const;
 
+    /** Entries the wheel can hold without allocating: the capacity of
+     *  every bucket plus the spare list (host-memory tests). */
+    std::size_t reservedEntries() const;
+
   private:
     /** Near-horizon window: events within `wheelSpan` ticks of now()
      *  land in the wheel; everything else waits in the overflow heap
@@ -185,12 +189,15 @@ class EventQueue
     void migrateOverflow();
     /** Advance to the earliest occupied tick and sort its bucket. */
     void enterTick();
-    /** Reset a fully-walked bucket (slot, order, occupancy bit). */
+    /** Reset a fully-walked bucket (slot, order, occupancy bit) and
+     *  move its vector onto the spare list. */
     void finishBucket();
     /** Earliest occupied wheel tick, or maxTick when the wheel is empty. */
     Tick wheelNextTick() const;
 
     std::vector<std::vector<Entry>> _slots; ///< one bucket per wheel slot
+    /** Drained buckets' vectors, handed to the next slot that fills. */
+    std::vector<std::vector<Entry>> _spare;
     std::uint64_t _occupied[wheelSpan / 64] = {}; ///< slot bitmap
     std::vector<Entry> _overflow;           ///< min-heap beyond the window
     std::size_t _size = 0;                  ///< wheel + overflow entries

@@ -17,6 +17,7 @@
 #include <limits>
 #include <memory>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -169,24 +170,42 @@ class Histogram : public Stat
     std::uint64_t _count = 0;
 };
 
-/** Exact distribution over a small integer domain (e.g. worker-set size). */
+/**
+ * Exact distribution over a small integer domain [0, max_value] (e.g.
+ * worker-set size). Buckets grow to the largest value sampled, not to the
+ * domain: a 1024-node machine's per-home worker-set stat would otherwise
+ * hold 1025 buckets on every node.
+ */
 class Distribution : public Stat
 {
   public:
     Distribution(std::string name, std::string desc, std::size_t max_value)
-        : Stat(std::move(name), std::move(desc)), _counts(max_value + 1, 0)
+        : Stat(std::move(name), std::move(desc)), _maxValue(max_value)
     {}
 
+    /** Count @p v; values above the domain land in its top slot. */
     void
     sample(std::size_t v)
     {
-        ++_counts[std::min(v, _counts.size() - 1)];
+        v = std::min(v, _maxValue);
+        if (v >= _counts.size())
+            _counts.resize(v + 1, 0);
+        ++_counts[v];
         ++_count;
     }
 
     std::uint64_t count() const { return _count; }
-    std::uint64_t at(std::size_t v) const { return _counts.at(v); }
-    std::size_t domain() const { return _counts.size(); }
+
+    /** Samples of value @p v; throws std::out_of_range beyond domain(). */
+    std::uint64_t
+    at(std::size_t v) const
+    {
+        if (v > _maxValue)
+            throw std::out_of_range("Distribution::at");
+        return v < _counts.size() ? _counts[v] : 0;
+    }
+
+    std::size_t domain() const { return _maxValue + 1; }
 
     void print(std::ostream &os) const override;
     void json(std::ostream &os) const override;
@@ -194,12 +213,13 @@ class Distribution : public Stat
     void
     reset() override
     {
-        std::fill(_counts.begin(), _counts.end(), 0);
+        _counts.clear();
         _count = 0;
     }
 
   private:
-    std::vector<std::uint64_t> _counts;
+    std::size_t _maxValue;
+    std::vector<std::uint64_t> _counts; ///< [0, largest value sampled]
     std::uint64_t _count = 0;
 };
 

@@ -70,12 +70,43 @@ TEST(CacheArray, ForEachValidVisitsExactlyValidLines)
     const std::uint64_t words[2] = {1, 2};
     cache.install(0x40, CacheState::readOnly, words, 2);
     cache.install(0x80, CacheState::readWrite, words, 2);
+    cache.install(0xc0, CacheState::readOnly, words, 2);
+    EXPECT_EQ(cache.validLines(), 3u);
+    // Invalidated in place: the set keeps its record, but the line is
+    // no longer resident.
+    cache.lookup(0xc0)->state = CacheState::invalid;
+    EXPECT_EQ(cache.validLines(), 2u);
     unsigned count = 0;
     cache.forEachValid([&](const CacheLine &cl) {
         ++count;
         EXPECT_TRUE(cl.valid());
+        EXPECT_NE(cl.tag, 0xc0u);
     });
     EXPECT_EQ(count, 2u);
+}
+
+TEST(CacheArray, LinePointerSurvivesFillsOfOtherSets)
+{
+    // Callers hold CacheLine pointers across fills (CacheCtx::cl, the
+    // line an install returns), so filling other sets must not move a
+    // record.
+    AddressMap amap(16, 16);
+    CacheArray cache(1024, amap); // 64 sets
+    const std::uint64_t words[2] = {0xAA, 0xBB};
+    const Addr a = 0x40;
+    cache.install(a, CacheState::readWrite, words, 2);
+    CacheLine *held = cache.lookup(a);
+    ASSERT_NE(held, nullptr);
+    const std::uint64_t other[2] = {1, 2};
+    for (Addr b = 0; b < 64 * 16; b += 16)
+        if (cache.indexOf(b) != cache.indexOf(a))
+            cache.install(b, CacheState::readOnly, other, 2);
+    EXPECT_EQ(cache.validLines(), 64u);
+    EXPECT_EQ(cache.lookup(a), held);
+    EXPECT_EQ(held->tag, a);
+    EXPECT_EQ(held->state, CacheState::readWrite);
+    EXPECT_EQ(held->words[0], 0xAAu);
+    EXPECT_EQ(held->words[1], 0xBBu);
 }
 
 TEST(CacheArray, StateNamesForDebugging)

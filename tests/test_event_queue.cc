@@ -116,6 +116,24 @@ TEST(EventQueue, CallbacksWithSmallCapturesStoreInline)
     EXPECT_TRUE(cb.storedInline());
 }
 
+TEST(EventQueue, DrainedBucketsReturnTheirCapacity)
+{
+    // One tick at a time, 1,000 events one tick ahead: every wheel slot
+    // is filled once, but at most one bucket is live at a time. Drained
+    // buckets hand their vectors on, so the wheel retains about one
+    // bucket's worth of entries, not one per slot (~1,024 x 1,024).
+    EventQueue eq;
+    std::uint64_t ran = 0;
+    for (int tick = 0; tick < 1024; ++tick) {
+        for (int i = 0; i < 1000; ++i)
+            eq.scheduleIn(1, [&ran]() { ++ran; });
+        eq.run();
+    }
+    EXPECT_EQ(ran, 1024u * 1000u);
+    EXPECT_EQ(eq.now(), 1024u);
+    EXPECT_LE(eq.reservedEntries(), 4096u);
+}
+
 /**
  * Property test: the timing-wheel + overflow-heap queue executes a large
  * random schedule in exactly the order a plain (tick, priority, seq)

@@ -73,6 +73,9 @@ TEST(Stats, DistributionCountsExactValues)
     EXPECT_EQ(d.at(1), 2u);
     EXPECT_EQ(d.at(4), 1u);
     EXPECT_EQ(d.at(16), 1u);
+    EXPECT_EQ(d.at(15), 0u); // never sampled, inside the domain
+    EXPECT_EQ(d.domain(), 17u);
+    EXPECT_THROW(d.at(17), std::out_of_range);
 }
 
 TEST(Stats, FindLocatesStatsByName)

@@ -10,6 +10,8 @@ Invariants the simulator promises (docs/OBSERVABILITY.md §9):
   * in the stats-JSON host_profile block: count >= 1, self <= wall,
     and self_ns is exactly wall minus the children's wall (clamped at
     zero) — the parent/child tiling invariant;
+  * the stats-JSON host block reports peak_rss_kb as a positive integer
+    (docs/OBSERVABILITY.md §4);
   * with --expect-pk: host.parallel_kernel exists, its partition list
     matches sim_threads, windows >= coupled_windows, the serial tail
     is within the run time, and per-partition event counts are
@@ -67,6 +69,10 @@ def check_profile_block(stats_path, stats):
     host = stats.get("host")
     if host is None:
         fail(f"{stats_path}: no host block")
+    rss = host.get("peak_rss_kb")
+    if type(rss) is not int or rss <= 0:
+        fail(f"{stats_path}: host.peak_rss_kb is {rss!r}, "
+             "not a positive integer")
     prof = host.get("host_profile")
     if prof is None:
         fail(f"{stats_path}: no host.host_profile block")

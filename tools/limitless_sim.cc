@@ -348,6 +348,8 @@ main(int argc, char **argv)
               << "simulator events:  " << run.events << "\n"
               << "host wall time:    " << run.hostSeconds << " s ("
               << run.eventsPerSecond() / 1e6 << " Mevents/s)\n"
+              << "host peak RSS:     " << hostPeakRssKb() / 1024.0
+              << " MB\n"
               << "remote latency:    "
               << machine.meanAccumulator("cache", "remote_latency")
               << " cycles mean\n"
