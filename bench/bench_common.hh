@@ -21,7 +21,6 @@
 #include "harness/parallel_runner.hh"
 #include "harness/result_table.hh"
 #include "obs/json.hh"
-#include "obs/stats_json.hh"
 #include "sim/log.hh"
 #include "workload/multigrid.hh"
 #include "workload/weather.hh"
@@ -293,44 +292,33 @@ writeBenchJson(const std::string &name, const ResultTable &table)
         std::cerr << "bench: cannot write " << path << "\n";
         return;
     }
-    out << "{\n  \"bench\": ";
-    jsonEscape(out, name);
-    out << ",\n  \"rows\": [";
-    bool first = true;
+    JsonWriter w(out);
+    w.object(2).field("bench", name).key("rows").array(4);
     for (const auto &r : table.rows()) {
-        out << (first ? "\n" : ",\n");
-        first = false;
-        out << "    {\"label\": ";
-        jsonEscape(out, r.label);
-        out << ", \"cycles\": " << r.cycles << ", \"mcycles\": "
-            << r.mcycles << ", \"remote_latency\": " << r.remoteLatency
-            << ", \"m\": " << r.overflowFraction << ", \"read_traps\": "
-            << r.readTraps << ", \"write_traps\": " << r.writeTraps
-            << ", \"invs_sent\": " << r.invsSent << ", \"phases\": ";
-        phasesJson(out, r.phases);
+        w.object().field("label", r.label).field("cycles", r.cycles);
+        w.field("mcycles", r.mcycles).field("remote_latency", r.remoteLatency);
+        w.field("m", r.overflowFraction).field("read_traps", r.readTraps);
+        w.field("write_traps", r.writeTraps).field("invs_sent", r.invsSent);
+        r.phases.writeJson(w.key("phases"));
         // Run -> report link; key only present when telemetry ran, so
         // default sweeps stay byte-identical.
-        if (!r.telemetryPath.empty()) {
-            out << ", \"telemetry\": ";
-            jsonEscape(out, r.telemetryPath);
-        }
+        if (!r.telemetryPath.empty())
+            w.field("telemetry", r.telemetryPath);
         // Same rule for tracing: keys appear only when the tracer ran.
-        if (!r.txnTracePath.empty()) {
-            out << ", \"txn_trace\": ";
-            jsonEscape(out, r.txnTracePath);
-        }
+        if (!r.txnTracePath.empty())
+            w.field("txn_trace", r.txnTracePath);
         if (r.txnQuantiles.count()) {
-            out << ", \"txn_completed\": " << r.txnCompleted
-                << ", \"phase_quantiles\": ";
-            r.txnQuantiles.writeJson(out);
+            w.field("txn_completed", r.txnCompleted);
+            r.txnQuantiles.writeJson(w.key("phase_quantiles"));
         }
         // Parallel-kernel rows only (cfg.simThreads > 1): serial rows
         // omit the key so existing BENCH files stay byte-identical.
         if (r.simThreads)
-            out << ", \"sim_threads\": " << r.simThreads;
-        out << "}";
+            w.field("sim_threads", r.simThreads);
+        w.end();
     }
-    out << "\n  ]\n}\n";
+    w.end().end();
+    out << "\n";
     std::cout << "json: " << path << "\n";
 }
 

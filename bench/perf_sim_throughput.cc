@@ -10,9 +10,6 @@
  * for CI trend tracking.
  */
 
-#include <unistd.h>
-
-#include <cstring>
 #include <iomanip>
 
 #include "bench_common.hh"
@@ -210,34 +207,24 @@ main()
     // (v2), and since v3 also the event count (the parallel kernel
     // schedules no network-tick events) and the packet-pool counters
     // (thread-local, so they read only the calling thread's share).
-    char hostname[256] = "unknown";
-    if (gethostname(hostname, sizeof(hostname)) != 0)
-        std::strcpy(hostname, "unknown");
-    hostname[sizeof(hostname) - 1] = '\0';
-    out << "{\n  \"bench\": \"sim_throughput\",\n"
-        << "  \"schema\": \"limitless-bench\",\n"
-        << "  \"schema_version\": 3,\n"
-        << "  \"host\": {\"hostname\": ";
-    jsonEscape(out, hostname);
-    out << "},\n  \"rows\": [";
-    bool first = true;
+    JsonWriter w(out);
+    w.object(2).field("bench", "sim_throughput");
+    w.field("schema", "limitless-bench").field("schema_version", 3);
+    w.key("host").object().field("hostname", hostName()).end();
+    w.key("rows").array(4);
     for (const Row &r : rows) {
-        out << (first ? "\n" : ",\n");
-        first = false;
-        out << "    {\"label\": ";
-        jsonEscape(out, r.label);
-        out << ", \"cycles\": " << r.cycles;
+        w.object().field("label", r.label).field("cycles", r.cycles);
         // Additive: only the parallel-kernel sweep rows carry the
         // thread count, so every other row keeps the serial key set.
         if (r.simThreads)
-            out << ", \"sim_threads\": " << r.simThreads;
-        out << ", \"host\": {\"seconds\": " << r.hostSeconds
-            << ", \"events_per_sec\": " << r.eventsPerSec
-            << ", \"events\": " << r.events
-            << ", \"packet_allocs\": " << r.packetAllocs
-            << ", \"packet_recycles\": " << r.packetRecycles << "}}";
+            w.field("sim_threads", r.simThreads);
+        w.key("host").object().field("seconds", r.hostSeconds);
+        w.field("events_per_sec", r.eventsPerSec).field("events", r.events);
+        w.field("packet_allocs", r.packetAllocs);
+        w.field("packet_recycles", r.packetRecycles).end().end();
     }
-    out << "\n  ]\n}\n";
+    w.end().end();
+    out << "\n";
     std::cout << "\njson: " << path << "\n";
     return 0;
 }

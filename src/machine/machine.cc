@@ -3,21 +3,15 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 
-#include "directory/chained_dir.hh"
-#include "directory/full_map_dir.hh"
-#include "directory/limited_dir.hh"
-#include "directory/limitless_dir.hh"
 #include <sys/resource.h>
 #include <unistd.h>
 
 #include "obs/flight_recorder.hh"
 #include "obs/host_profiler.hh"
 #include "obs/json.hh"
-#include "obs/stats_json.hh"
 #include "obs/telemetry.hh"
 #include "sim/log.hh"
 #include "sim/parallel_kernel.hh"
@@ -31,6 +25,15 @@ hostPeakRssKb()
     rusage ru{};
     getrusage(RUSAGE_SELF, &ru);
     return static_cast<std::uint64_t>(ru.ru_maxrss);
+}
+
+std::string
+hostName()
+{
+    char name[256] = {};
+    if (gethostname(name, sizeof name - 1) != 0)
+        return "unknown";
+    return name;
 }
 
 Machine::Machine(const MachineConfig &cfg)
@@ -131,15 +134,24 @@ Machine::setupTelemetry()
 
     // Counters are resolved once here; each probe is then a flat sum of
     // pre-found pointers (the watchdog's idiom), so a sample never does
-    // name lookups.
+    // name lookups. A component no node has (flat runs lack "chip") adds
+    // nothing, but a name missing from every set of a component that
+    // exists is a typo that would read 0 forever, so it is fatal.
     using CompStat = std::pair<const char *, const char *>;
     auto sum = [this](std::vector<CompStat> stats) {
         std::vector<const Counter *> cs;
-        for (const auto &[comp, name] : stats)
-            for (const auto &node : _nodes)
-                if (const StatSet *set = node->statSet(comp))
-                    if (const Stat *s = set->find(name))
-                        cs.push_back(static_cast<const Counter *>(s));
+        for (const auto &[comp, name] : stats) {
+            bool have_set = false;
+            const std::size_t found = cs.size();
+            for (const auto &node : _nodes) {
+                const StatSet *set = node->statSet(comp);
+                have_set |= set != nullptr;
+                if (const Stat *s = set ? set->find(name) : nullptr)
+                    cs.push_back(static_cast<const Counter *>(s));
+            }
+            if (have_set && cs.size() == found)
+                fatal("telemetry: no %s stat named '%s'", comp, name);
+        }
         return Telemetry::Probe([cs = std::move(cs)]() {
             double total = 0.0;
             for (const Counter *c : cs)
@@ -154,7 +166,7 @@ Machine::setupTelemetry()
     t.addRate("cache.misses", sum({{"cache", "misses"}}));
     t.addRatio("cache.miss_rate", sum({{"cache", "misses"}}),
                sum({{"cache", "hits"}, {"cache", "misses"}}));
-    t.addRate("cache.invs_rx", sum({{"cache", "invs_received"}}));
+    t.addRate("cache.invs_rx", sum({{"cache", "invs"}}));
     t.addGauge("cache.waiting", [this]() {
         double n = 0.0;
         for (const auto &node : _nodes)
@@ -285,7 +297,7 @@ Machine::setupTelemetry()
         t.addGauge("net.peak_queue", [mesh]() {
             return static_cast<double>(mesh->takeWindowPeakDepth());
         });
-        t.addSummary("net_hotspots", [this, mesh](std::ostream &os) {
+        t.addSummary("net_hotspots", [this, mesh](JsonWriter &w) {
             const auto *telem = mesh->meshTelemetry();
             std::vector<std::pair<std::uint64_t, unsigned>> load;
             load.reserve(telem->flitHops.size());
@@ -295,16 +307,13 @@ Machine::setupTelemetry()
                 return a.first != b.first ? a.first > b.first
                                           : a.second < b.second;
             });
-            const std::size_t k = std::min<std::size_t>(8, load.size());
-            os << "[";
-            for (std::size_t i = 0; i < k; ++i) {
-                os << (i ? ", " : "")
-                   << "{\"router\": " << load[i].second
-                   << ", \"x\": " << _topo->xOf(load[i].second)
-                   << ", \"y\": " << _topo->yOf(load[i].second)
-                   << ", \"flit_hops\": " << load[i].first << "}";
+            load.resize(std::min<std::size_t>(8, load.size()));
+            w.array();
+            for (const auto &[hops, r] : load) {
+                w.object().field("router", r).field("x", _topo->xOf(r));
+                w.field("y", _topo->yOf(r)).field("flit_hops", hops).end();
             }
-            os << "]";
+            w.end();
         });
     }
 
@@ -344,20 +353,17 @@ Machine::setupTelemetry()
 
     // Per-node emulation occupancy detail (cumulative trap cycles per
     // node at write time; 64 CSV columns would drown the time-series).
-    t.addSummary("trap_cycles_per_node", [this](std::ostream &os) {
+    t.addSummary("trap_cycles_per_node", [this](JsonWriter &w) {
         auto counterOf = [](const StatSet *set, const char *name) {
             const Stat *s = set ? set->find(name) : nullptr;
             return s ? static_cast<const Counter *>(s)->value()
                      : std::uint64_t{0};
         };
-        os << "[";
-        for (std::size_t i = 0; i < _nodes.size(); ++i) {
-            const std::uint64_t cycles =
-                counterOf(_nodes[i]->statSet("trap"), "cycles") +
-                counterOf(_nodes[i]->statSet("mem"), "trap_cycles");
-            os << (i ? ", " : "") << cycles;
-        }
-        os << "]";
+        w.array();
+        for (const auto &node : _nodes)
+            w.value(counterOf(node->statSet("trap"), "cycles") +
+                    counterOf(node->statSet("mem"), "trap_cycles"));
+        w.end();
     });
 
     // Producer-side histogram sinks (the only telemetry cost the hot
@@ -729,118 +735,27 @@ void
 Machine::dumpStatsJson(std::ostream &os, Tick cycles,
                        const RunResult *run) const
 {
-    const PhaseBreakdown phases =
-        FlightRecorder::instance().latency().snapshot();
+    FlightRecorder &fr = FlightRecorder::instance();
     const double m = overflowFraction();
     const double ts = static_cast<double>(_cfg.protocol.softwareLatency);
 
-    os << "{\n";
-    // v2 (additive, see docs/OBSERVABILITY.md bump policy): every
-    // host-dependent field lives under the one "host" object, so tools
-    // diff deterministic fields by skipping exactly that subtree.
-    os << "  \"schema\": \"limitless-stats-v1\",\n";
-    os << "  \"schema_version\": 2,\n";
-    os << "  \"protocol\": ";
-    jsonEscape(os, _cfg.protocol.name());
-    os << ",\n";
-    os << "  \"nodes\": " << _cfg.numNodes << ",\n";
-    os << "  \"seed\": " << _cfg.seed << ",\n";
-    os << "  \"cycles\": " << cycles << ",\n";
+    JsonWriter w(os);
+    // A breaking change bumps both the string and the integer
+    // (docs/OBSERVABILITY.md §6).
+    w.object(2).field("schema", "limitless-stats-v3");
+    w.field("schema_version", 3).field("protocol", _cfg.protocol.name());
+    w.field("nodes", _cfg.numNodes).field("seed", _cfg.seed);
+    w.field("cycles", cycles);
     // The paper's model terms: T = Th + m * Ts.
-    os << "  \"model\": {\"m\": " << m << ", \"ts\": " << ts
-       << ", \"m_ts\": " << m * ts << "},\n";
-    os << "  \"topology\": {\"kind\": ";
-    jsonEscape(os, _topo->name());
-    os << ", \"width\": " << _topo->width()
-       << ", \"height\": " << _topo->height()
-       << ", \"cluster_size\": " << _cfg.topology.clusterSize
-       << ", \"average_hops\": " << _topo->averageHops();
+    w.key("model").object().field("m", m).field("ts", ts);
+    w.field("m_ts", m * ts).end();
+    w.key("topology").object().field("kind", _topo->name());
+    w.field("width", _topo->width()).field("height", _topo->height());
+    w.field("cluster_size", _cfg.topology.clusterSize);
+    w.field("average_hops", _topo->averageHops());
     if (_amap.hier())
-        os << ", \"hier\": true";
-    os << "},\n";
-    // Directory-storage comparison (the paper's Section 1 motivation):
-    // bits per entry for each scheme at the canonical scales plus this
-    // machine's own node count. Full-map is a multi-word presence
-    // vector (exactly num_nodes bits); the others grow as O(log N).
-    {
-        os << "  \"directory_storage\": {\"node_counts\": ";
-        std::vector<unsigned> counts{64, 256, 1024};
-        if (std::find(counts.begin(), counts.end(), _cfg.numNodes) ==
-            counts.end())
-            counts.insert(counts.begin(), _cfg.numNodes);
-        os << "[";
-        for (std::size_t i = 0; i < counts.size(); ++i)
-            os << (i ? ", " : "") << counts[i];
-        os << "], \"schemes\": [";
-        bool first_scheme = true;
-        auto row = [&](const char *label, auto &&bits) {
-            os << (first_scheme ? "" : ", ");
-            first_scheme = false;
-            os << "{\"scheme\": ";
-            jsonEscape(os, label);
-            os << ", \"bits_per_entry\": [";
-            for (std::size_t i = 0; i < counts.size(); ++i)
-                os << (i ? ", " : "") << bits(counts[i]);
-            os << "]}";
-        };
-        row("full-map",
-            [](unsigned n) { return FullMapDir(n).bitsPerEntry(n); });
-        row("dir4nb",
-            [](unsigned n) { return LimitedDir(4).bitsPerEntry(n); });
-        row("limitless4", [](unsigned n) {
-            return LimitlessDir(0, 4, true).bitsPerEntry(n);
-        });
-        row("chained",
-            [](unsigned n) { return ChainedDir().bitsPerEntry(n); });
-        os << "]";
-        // Two-level variants (hier runs only, so the flat document is
-        // byte-stable): the chip directory sizes over the chip's own
-        // node count, while the inter-chip directory shrinks to one
-        // entry bit-budget per *chip* — the product is the total
-        // per-line directory state of the composed scheme.
-        if (_amap.hier()) {
-            const std::vector<unsigned> chips{4, 8, 16};
-            os << ", \"hier\": {\"chip_sizes\": [";
-            for (std::size_t i = 0; i < chips.size(); ++i)
-                os << (i ? ", " : "") << chips[i];
-            os << "], \"schemes\": [";
-            bool first_hier = true;
-            auto hierRow = [&](const char *label, auto &&bits) {
-                os << (first_hier ? "" : ", ");
-                first_hier = false;
-                os << "{\"scheme\": ";
-                jsonEscape(os, label);
-                os << ", \"per_chip_bits\": [";
-                for (std::size_t i = 0; i < chips.size(); ++i)
-                    os << (i ? ", " : "") << bits(chips[i]);
-                os << "], \"inter_chip_bits\": [";
-                for (std::size_t ci = 0; ci < chips.size(); ++ci) {
-                    os << (ci ? ", " : "") << "[";
-                    for (std::size_t i = 0; i < counts.size(); ++i) {
-                        const unsigned nchips =
-                            (counts[i] + chips[ci] - 1) / chips[ci];
-                        os << (i ? ", " : "") << bits(nchips);
-                    }
-                    os << "]";
-                }
-                os << "]}";
-            };
-            hierRow("full-map", [](unsigned n) {
-                return FullMapDir(n).bitsPerEntry(n);
-            });
-            hierRow("dir4nb", [](unsigned n) {
-                return LimitedDir(4).bitsPerEntry(n);
-            });
-            hierRow("limitless4", [](unsigned n) {
-                return LimitlessDir(0, 4, true).bitsPerEntry(n);
-            });
-            hierRow("chained", [](unsigned n) {
-                return ChainedDir().bitsPerEntry(n);
-            });
-            os << "]}";
-        }
-        os << "},\n";
-    }
+        w.field("hier", true);
+    w.end();
     if (run) {
         // The one host-dependent subtree (schema_version 2): everything
         // under "host" varies with the machine running the simulator —
@@ -849,79 +764,56 @@ Machine::dumpStatsJson(std::ostream &os, Tick cycles,
         // config. Consumers (limitless-perfdiff, the parallel-smoke CI
         // diff) compare deterministic fields exactly by skipping this
         // subtree, with no field-name grepping.
-        char hostname[256] = "unknown";
-        if (gethostname(hostname, sizeof hostname) != 0)
-            std::strcpy(hostname, "unknown");
-        hostname[sizeof hostname - 1] = '\0';
-        os << "  \"host\": {\n";
-        os << "    \"seconds\": " << run->hostSeconds << ",\n";
-        os << "    \"events\": " << run->events << ",\n";
-        os << "    \"events_per_sec\": " << run->eventsPerSecond()
-           << ",\n";
-        os << "    \"hostname\": ";
-        jsonEscape(os, hostname);
-        os << ",\n    \"peak_rss_kb\": " << hostPeakRssKb();
+        w.key("host").object(4).field("seconds", run->hostSeconds);
+        w.field("events", run->events);
+        w.field("events_per_sec", run->eventsPerSecond());
+        w.field("hostname", hostName()).field("peak_rss_kb", hostPeakRssKb());
         // windows == 0 means the kernel ran without the stats sink
         // (neither pk telemetry nor the profiler wanted it), so there
         // is no utilization data to report.
         if (_pkStats && _pkStats->windows > 0) {
             const ParallelKernelStats &pk = *_pkStats;
-            os << ",\n    \"parallel_kernel\": {\n";
-            os << "      \"sim_threads\": " << pk.partitions << ",\n";
-            os << "      \"lookahead\": " << pk.lookahead << ",\n";
-            os << "      \"windows\": " << pk.windows << ",\n";
-            os << "      \"coupled_windows\": " << pk.coupledWindows
-               << ",\n";
-            os << "      \"serial_tail_seconds\": "
-               << pk.serialTailSeconds << ",\n";
-            os << "      \"run_seconds\": " << pk.runSeconds << ",\n";
-            os << "      \"serial_tail_fraction\": "
-               << (pk.runSeconds > 0.0
-                       ? pk.serialTailSeconds / pk.runSeconds
-                       : 0.0)
-               << ",\n";
             const auto *mesh =
                 dynamic_cast<const MeshNetwork *>(_net.get());
-            os << "      \"cross_partition_flits\": "
-               << (mesh ? mesh->crossPartitionFlits() : 0) << ",\n";
-            os << "      \"partitions\": [";
+            w.key("parallel_kernel").object(6);
+            w.field("sim_threads", pk.partitions);
+            w.field("lookahead", pk.lookahead).field("windows", pk.windows);
+            w.field("coupled_windows", pk.coupledWindows);
+            w.field("serial_tail_seconds", pk.serialTailSeconds);
+            w.field("run_seconds", pk.runSeconds);
+            w.field("serial_tail_fraction",
+                    pk.runSeconds > 0.0 ? pk.serialTailSeconds / pk.runSeconds
+                                        : 0.0);
+            w.field("cross_partition_flits",
+                    mesh ? mesh->crossPartitionFlits() : 0);
+            w.key("partitions").array();
             for (unsigned p = 0; p < pk.partitions; ++p) {
-                os << (p ? ", " : "") << "{\"id\": " << p
-                   << ", \"events\": " << pk.parts[p].events
-                   << ", \"barrier_wait_seconds\": "
-                   << pk.barrierWaitSeconds(p) << "}";
+                w.object().field("id", p).field("events", pk.parts[p].events);
+                w.field("barrier_wait_seconds", pk.barrierWaitSeconds(p));
+                w.end();
             }
-            os << "]\n    }";
+            w.end().end();
         }
-        if (HostProfiler::enabled()) {
-            os << ",\n    \"host_profile\": ";
-            HostProfiler::writeJson(os, "    ");
-        }
-        os << "\n  },\n";
+        if (HostProfiler::enabled())
+            HostProfiler::writeJson(w.key("host_profile"), 6);
+        w.end();
     }
-    os << "  \"phases\": ";
-    phasesJson(os, phases, _amap.hier());
-    os << ",\n";
+    fr.latency().snapshot().writeJson(w.key("phases"), _amap.hier());
     // Remote misses injected but never completed. A quiescent run ends
     // at zero; nonzero means dropped completions (satellite of the
     // latency tracker's silent-drop fix — exported so sweeps can assert).
-    os << "  \"unfinished_remote\": "
-       << FlightRecorder::instance().latency().inFlight() << ",\n";
-    const TxnTracer &txn = FlightRecorder::instance().txn();
-    if (txn.enabled()) {
-        os << "  \"txn\": {\"completed\": " << txn.completedCount()
-           << ", \"abandoned\": " << txn.abandonedCount()
-           << ", \"open\": " << txn.openCount() << "},\n";
-        os << "  \"phase_quantiles\": ";
-        txn.quantiles().writeJson(os);
-        os << ",\n";
+    w.field("unfinished_remote", fr.latency().inFlight());
+    if (const TxnTracer &txn = fr.txn(); txn.enabled()) {
+        w.key("txn").object().field("completed", txn.completedCount());
+        w.field("abandoned", txn.abandonedCount());
+        w.field("open", txn.openCount()).end();
+        txn.quantiles().writeJson(w.key("phase_quantiles"));
     }
 
     // Machine-wide aggregates: counters summed, accumulators merged with
     // the parallel-variance formula, bucketed stats reduced to their
     // sample count (full buckets live in nodes_detail).
-    os << "  \"aggregate\": {";
-    bool first_comp = true;
+    w.key("aggregate").object(4);
     for (const char *comp : statComponents) {
         const StatSet *shape = nullptr;
         for (const auto &node : _nodes)
@@ -929,67 +821,49 @@ Machine::dumpStatsJson(std::ostream &os, Tick cycles,
                 break;
         if (!shape)
             continue;
-        os << (first_comp ? "\n" : ",\n");
-        first_comp = false;
-        os << "    \"" << comp << "\": {";
-        bool first_stat = true;
+        w.key(comp).object();
         for (const auto &stat : shape->all()) {
-            os << (first_stat ? "" : ", ");
-            first_stat = false;
-            jsonEscape(os, stat->name());
-            os << ": ";
+            w.key(stat->name());
             if (dynamic_cast<const Counter *>(stat.get())) {
-                os << sumCounter(comp, stat->name());
-            } else if (dynamic_cast<const Accumulator *>(stat.get())) {
-                Accumulator agg(stat->name(), stat->desc());
-                for (const auto &node : _nodes) {
-                    const StatSet *set = node->statSet(comp);
-                    const Stat *s = set ? set->find(stat->name()) : nullptr;
-                    if (const auto *acc =
-                            dynamic_cast<const Accumulator *>(s))
-                        agg.merge(*acc);
-                }
-                agg.json(os);
-            } else {
-                std::uint64_t count = 0;
-                for (const auto &node : _nodes) {
-                    const StatSet *set = node->statSet(comp);
-                    const Stat *s = set ? set->find(stat->name()) : nullptr;
-                    if (const auto *h = dynamic_cast<const Histogram *>(s))
-                        count += h->count();
-                    else if (const auto *d =
-                                 dynamic_cast<const Distribution *>(s))
-                        count += d->count();
-                }
-                os << "{\"count\": " << count << "}";
-            }
-        }
-        os << "}";
-    }
-    os << "\n  },\n";
-
-    os << "  \"network\": ";
-    if (const StatSet *net = _net->statSet())
-        net->json(os);
-    else
-        os << "{}";
-    os << ",\n";
-
-    os << "  \"nodes_detail\": [";
-    for (unsigned i = 0; i < _nodes.size(); ++i) {
-        os << (i ? ",\n" : "\n");
-        os << "    {\"node\": " << i;
-        for (const char *comp : statComponents) {
-            const StatSet *set = _nodes[i]->statSet(comp);
-            if (!set)
+                w.value(sumCounter(comp, stat->name()));
                 continue;
-            os << ", \"" << comp << "\": ";
-            set->json(os);
+            }
+            Accumulator agg(stat->name(), stat->desc());
+            std::uint64_t count = 0;
+            for (const auto &node : _nodes) {
+                const StatSet *set = node->statSet(comp);
+                const Stat *s = set ? set->find(stat->name()) : nullptr;
+                if (const auto *acc = dynamic_cast<const Accumulator *>(s))
+                    agg.merge(*acc);
+                else if (const auto *h = dynamic_cast<const Histogram *>(s))
+                    count += h->count();
+                else if (const auto *d =
+                             dynamic_cast<const Distribution *>(s))
+                    count += d->count();
+            }
+            if (dynamic_cast<const Accumulator *>(stat.get()))
+                agg.json(w);
+            else
+                w.object().field("count", count).end();
         }
-        os << "}";
+        w.end();
     }
-    os << "\n  ]\n";
-    os << "}\n";
+    w.end().key("network");
+    if (const StatSet *net = _net->statSet())
+        net->json(w);
+    else
+        w.object().end();
+
+    w.key("nodes_detail").array(4);
+    for (unsigned i = 0; i < _nodes.size(); ++i) {
+        w.object().field("node", i);
+        for (const char *comp : statComponents)
+            if (const StatSet *set = _nodes[i]->statSet(comp))
+                set->json(w.key(comp));
+        w.end();
+    }
+    w.end().end();
+    os << "\n";
 }
 
 } // namespace limitless

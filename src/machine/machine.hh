@@ -49,6 +49,10 @@ struct RunResult
  *  "host" object only. */
 std::uint64_t hostPeakRssKb();
 
+/** This host's name ("unknown" when gethostname fails), for the "host"
+ *  objects of stats and bench exports. */
+std::string hostName();
+
 /** A complete simulated multiprocessor. */
 class Machine
 {
@@ -106,7 +110,7 @@ class Machine
 
     /**
      * Emit the whole machine's stats as one JSON document
-     * ("limitless-stats-v1"): run metadata, the remote-miss phase
+     * ("limitless-stats-v3"): run metadata, the remote-miss phase
      * breakdown from the flight recorder's latency tracker, per-component
      * aggregates (counters summed, accumulators variance-merged across
      * nodes), network stats, and per-node detail. Pass the RunResult to

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdio>
 #include <iostream>
 
-#include "obs/json.hh"
 #include "sim/event_queue.hh"
 #include "sim/log.hh"
 
@@ -29,6 +29,15 @@ eventCatName(EventCat cat)
       case EventCat::trap: return "trap";
     }
     return "?";
+}
+
+std::string
+traceLineHex(Addr line)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "0x%llx",
+                  static_cast<unsigned long long>(line));
+    return buf;
 }
 
 FlightRecorder &
@@ -73,21 +82,19 @@ FlightRecorder::traceOpen(const std::string &path)
     _trace.open(path, std::ios::out | std::ios::trunc);
     if (!_trace.is_open())
         return false;
-    _trace << "[\n";
-    _traceOpen = true;
-    _traceFirst = true;
+    _traceJson.emplace(_trace).array(0);
     return true;
 }
 
 void
 FlightRecorder::traceClose()
 {
-    if (!_traceOpen)
+    if (!_traceJson)
         return;
-    _trace << "\n]\n";
+    _traceJson->end();
+    _traceJson.reset();
+    _trace << "\n";
     _trace.close();
-    _traceOpen = false;
-    _traceFirst = true;
 }
 
 void
@@ -96,16 +103,13 @@ FlightRecorder::setLineFilter(std::unordered_set<Addr> lines)
     _lineFilter = std::move(lines);
 }
 
-std::ostream *
+JsonWriter *
 FlightRecorder::traceRawEvent(Addr line)
 {
-    if (!_traceOpen ||
+    if (!_traceJson ||
         (!_lineFilter.empty() && !_lineFilter.count(line)))
         return nullptr;
-    if (!_traceFirst)
-        _trace << ",\n";
-    _traceFirst = false;
-    return &_trace;
+    return &*_traceJson;
 }
 
 void
@@ -127,7 +131,7 @@ FlightRecorder::record(const TraceEvent &ev)
     if (_ringCount < _ring.size())
         ++_ringCount;
 
-    if (_traceOpen &&
+    if (_traceJson &&
         (_lineFilter.empty() || _lineFilter.count(ev.line)))
         writeTraceEvent(ev);
 }
@@ -135,39 +139,27 @@ FlightRecorder::record(const TraceEvent &ev)
 void
 FlightRecorder::writeTraceEvent(const TraceEvent &ev)
 {
-    if (!_traceFirst)
-        _trace << ",\n";
-    _traceFirst = false;
-
     // Chrome trace_event instant event, one per line. "ts" is in
     // microseconds in the viewer; we map one cycle to one microsecond.
-    _trace << "{\"name\":";
-    jsonEscape(_trace, ev.name);
-    _trace << ",\"cat\":\"" << eventCatName(ev.cat)
-           << "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << ev.ts
-           << ",\"pid\":0,\"tid\":"
-           << (ev.node == invalidNode ? 0 : ev.node) << ",\"args\":{";
-    bool first = true;
-    const auto field = [&](const char *key) -> std::ostream & {
-        if (!first)
-            _trace << ',';
-        first = false;
-        _trace << '"' << key << "\":";
-        return _trace;
-    };
+    JsonWriter &w = *_traceJson;
+    w.object(JsonWriter::compact).field("name", ev.name);
+    w.field("cat", eventCatName(ev.cat)).field("ph", "i").field("s", "t");
+    w.field("ts", ev.ts).field("pid", 0);
+    w.field("tid", ev.node == invalidNode ? 0 : ev.node);
+    w.key("args").object();
     if (ev.line)
-        field("line") << "\"0x" << std::hex << ev.line << std::dec << '"';
+        w.field("line", traceLineHex(ev.line));
     if (ev.hasOp)
-        field("op") << '"' << opcodeName(ev.op) << '"';
+        w.field("op", opcodeName(ev.op));
     if (ev.src != invalidNode)
-        field("src") << ev.src;
+        w.field("src", ev.src);
     if (ev.dest != invalidNode)
-        field("dest") << ev.dest;
+        w.field("dest", ev.dest);
     if (ev.detail)
-        field("detail") << '"' << ev.detail << '"';
+        w.field("detail", ev.detail);
     if (ev.hasArg)
-        field("arg") << ev.arg;
-    _trace << "}}";
+        w.field("arg", ev.arg);
+    w.end().end();
 }
 
 void

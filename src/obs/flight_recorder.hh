@@ -28,10 +28,12 @@
 
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
+#include "obs/json.hh"
 #include "obs/latency_tracker.hh"
 #include "obs/txn_tracer.hh"
 #include "proto/opcode.hh"
@@ -53,6 +55,9 @@ enum class EventCat : std::uint8_t
 };
 
 const char *eventCatName(EventCat cat);
+
+/** A line address as the trace exports spell it: "0x", lowercase hex. */
+std::string traceLineHex(Addr line);
 
 /**
  * One protocol event, compact enough to live in the postmortem ring.
@@ -98,16 +103,15 @@ class FlightRecorder
     /** Finish the JSON array and close the file. Safe when no trace is
      *  open. */
     void traceClose();
-    bool tracing() const { return _traceOpen; }
     /** Restrict the *streamed* trace to these lines (the postmortem
      *  ring keeps recording everything). Empty set = no filter. */
     void setLineFilter(std::unordered_set<Addr> lines);
-    /** Raw trace-sink access for composite events (the transaction
-     *  tracer's span slices and flow arrows). Returns nullptr unless a
-     *  trace is open and @p line passes the stream filter; when
-     *  non-null, the caller must write exactly one JSON object to the
-     *  returned stream (the comma protocol is handled here). */
-    std::ostream *traceRawEvent(Addr line);
+    /** Trace-sink access for composite events (the transaction
+     *  tracer's span slices and flow arrows, the CLI's host slices).
+     *  Returns nullptr unless a trace is open and @p line passes the
+     *  stream filter; when non-null, the caller writes whole event
+     *  objects into the open events array. */
+    JsonWriter *traceRawEvent(Addr line);
     /// @}
 
     /** Record one event into the ring and, if open, the trace file. */
@@ -155,8 +159,8 @@ class FlightRecorder
     const EventQueue *_clock = nullptr;
 
     std::ofstream _trace;
-    bool _traceOpen = false;
-    bool _traceFirst = true;
+    /** Engaged while a trace is open, holding the events array open. */
+    std::optional<JsonWriter> _traceJson;
     std::unordered_set<Addr> _lineFilter;
 
     std::vector<TraceEvent> _ring;

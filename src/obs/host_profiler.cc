@@ -192,25 +192,14 @@ HostProfiler::writeFolded(std::ostream &os)
 }
 
 void
-HostProfiler::writeJson(std::ostream &os, const char *indent)
+HostProfiler::writeJson(JsonWriter &w, int indent)
 {
-    const std::vector<Scope> scopes = snapshot();
-    os << "{\n";
-    os << indent << "  \"scopes\": [";
-    bool first = true;
-    for (const Scope &s : scopes) {
-        os << (first ? "\n" : ",\n");
-        first = false;
-        os << indent << "    {\"path\": ";
-        jsonEscape(os, s.path);
-        os << ", \"count\": " << s.count << ", \"wall_ns\": " << s.wallNs
-           << ", \"self_ns\": " << s.selfNs << "}";
+    w.object(indent).key("scopes").array(indent + 2);
+    for (const Scope &s : snapshot()) {
+        w.object().field("path", s.path).field("count", s.count);
+        w.field("wall_ns", s.wallNs).field("self_ns", s.selfNs).end();
     }
-    if (first)
-        os << "]\n";
-    else
-        os << "\n" << indent << "  ]\n";
-    os << indent << "}";
+    w.end().end();
 }
 
 void

@@ -42,6 +42,8 @@
 namespace limitless
 {
 
+class JsonWriter;
+
 namespace prof_detail
 {
 
@@ -124,9 +126,9 @@ class HostProfiler
     /** Collapsed-stack flamegraph lines: "path self_ns\n", sorted. */
     static void writeFolded(std::ostream &os);
 
-    /** Stats-JSON block body: {"scopes": [{...}, ...]}. Every line is
-     *  prefixed with @p indent except the first. */
-    static void writeJson(std::ostream &os, const char *indent);
+    /** Stats-JSON block {"scopes": [{...}, ...]}, its members one per
+     *  line at @p indent. */
+    static void writeJson(JsonWriter &w, int indent);
 
   private:
     friend struct prof_detail::ProfTree;

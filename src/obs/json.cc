@@ -1,13 +1,16 @@
 #include "obs/json.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <limits>
+#include <string>
 
 namespace limitless
 {
 
 void
-jsonEscape(std::ostream &os, const std::string &s)
+jsonEscape(std::ostream &os, std::string_view s)
 {
     os << '"';
     for (const char c : s) {
@@ -29,6 +32,86 @@ jsonEscape(std::ostream &os, const std::string &s)
         }
     }
     os << '"';
+}
+
+JsonWriter &
+JsonWriter::open(char bracket, int indent, bool compact)
+{
+    member();
+    _os << bracket;
+    const bool inherited = !_open.empty() && _open.back().compact;
+    _open.push_back({bracket == '{' ? '}' : ']', indent,
+                     compact || inherited, true});
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::end()
+{
+    const Frame f = _open.back();
+    _open.pop_back();
+    if (!f.empty && f.indent >= 0)
+        _os << '\n' << std::string(std::max(f.indent - 2, 0), ' ');
+    _os << f.close;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::key(std::string_view k)
+{
+    member();
+    jsonEscape(_os, k);
+    _os << (_open.back().compact ? ":" : ": ");
+    _afterKey = true;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::value(std::string_view s)
+{
+    member();
+    jsonEscape(_os, s);
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::exact(double v)
+{
+    member();
+    const auto prec =
+        _os.precision(std::numeric_limits<double>::max_digits10);
+    _os << v;
+    _os.precision(prec);
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::raw(std::string_view text)
+{
+    member();
+    _os << text;
+    return *this;
+}
+
+void
+JsonWriter::member()
+{
+    if (_afterKey) {
+        _afterKey = false;
+        return;
+    }
+    if (_open.empty())
+        return;
+    Frame &f = _open.back();
+    if (!f.empty)
+        _os << ',';
+    const int indent = _break >= 0 ? _break : f.indent;
+    _break = -1;
+    if (indent >= 0)
+        _os << '\n' << std::string(indent, ' ');
+    else if (!f.empty && !f.compact)
+        _os << ' ';
+    f.empty = false;
 }
 
 namespace

@@ -1,5 +1,6 @@
 #include "obs/latency_tracker.hh"
 
+#include "obs/json.hh"
 #include "sim/event_queue.hh"
 
 namespace limitless
@@ -370,6 +371,21 @@ LatencyTracker::replay(const DeferredStamp &s)
         onComplete(s.now, s.node, s.line);
         break;
     }
+}
+
+void
+PhaseBreakdown::writeJson(JsonWriter &w, bool hier) const
+{
+    w.object(JsonWriter::compact).field("count", completed);
+    w.key("req_net").exact(reqNet).key("home").exact(home);
+    w.key("trap").exact(trap).key("inv").exact(inv);
+    w.key("reply_net").exact(replyNet).key("total").exact(total);
+    if (hier) {
+        w.key("chip_home").exact(chipHome);
+        w.key("global_home").exact(globalHome);
+        w.key("inter_chip_inv").exact(interChipInv);
+    }
+    w.end();
 }
 
 PhaseBreakdown

@@ -34,6 +34,7 @@ namespace limitless
 {
 
 class EventQueue;
+class JsonWriter;
 
 /** Mean per-phase latency over the completed remote transactions. */
 struct PhaseBreakdown
@@ -55,6 +56,14 @@ struct PhaseBreakdown
     double interChipInv = 0.0; ///< one-INV-per-chip fan-out window
 
     double sum() const { return reqNet + home + trap + inv + replyNet; }
+
+    /** {"count":N,"req_net":..,"home":..,"trap":..,"inv":..,
+     *  "reply_net":..,"total":..}, compact and at full precision so
+     *  consumers can check that the five phases sum to "total". With
+     *  @p hier (two-level machines only, keeping the flat document
+     *  byte-stable) "chip_home", "global_home" and "inter_chip_inv"
+     *  follow (docs/OBSERVABILITY.md §2). */
+    void writeJson(JsonWriter &w, bool hier = false) const;
 };
 
 /** One completed transaction's phase decomposition, as attributed by

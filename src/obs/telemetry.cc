@@ -64,7 +64,7 @@ Telemetry::addHistogram(std::string name, std::string desc, unsigned buckets)
 
 void
 Telemetry::addSummary(std::string name,
-                      std::function<void(std::ostream &)> emit)
+                      std::function<void(JsonWriter &)> emit)
 {
     _summaries.push_back(Summary{std::move(name), std::move(emit)});
 }
@@ -197,51 +197,31 @@ Telemetry::writeCsv(std::ostream &os) const
 void
 Telemetry::writeJson(std::ostream &os) const
 {
-    os << "{\n  \"schema\": \"" << jsonSchema() << "\",\n"
-       << "  \"schema_version\": " << schemaVersion << ",\n"
-       << "  \"interval\": " << _interval << ",\n"
-       << "  \"windows\": " << _ticks.size() << ",\n";
-    os << "  \"meta\": {";
-    for (std::size_t i = 0; i < _meta.size(); ++i) {
-        os << (i ? ", " : "");
-        jsonEscape(os, _meta[i].first);
-        os << ": ";
-        jsonEscape(os, _meta[i].second);
-    }
-    os << "},\n";
-    os << "  \"columns\": [";
-    for (std::size_t i = 0; i < _columns.size(); ++i) {
-        os << (i ? ", " : "");
-        jsonEscape(os, _columns[i].name);
-    }
-    os << "],\n";
-    os << "  \"histograms\": {";
-    for (std::size_t i = 0; i < _histograms.size(); ++i) {
-        const NamedHistogram &h = _histograms[i];
-        os << (i ? ",\n    " : "\n    ");
-        jsonEscape(os, h.name);
-        os << ": {\"desc\": ";
-        jsonEscape(os, h.desc);
-        os << ", \"count\": " << h.hist->count() << ", \"labels\": [";
-        for (unsigned b = 0; b < h.hist->numBuckets(); ++b) {
-            os << (b ? ", " : "");
-            jsonEscape(os, h.hist->label(b));
-        }
-        os << "], \"buckets\": [";
+    JsonWriter w(os);
+    w.object(2).field("schema", jsonSchema());
+    w.field("schema_version", schemaVersion).field("interval", _interval);
+    w.field("windows", _ticks.size()).key("meta").object();
+    for (const auto &[key, value] : _meta)
+        w.field(key, value);
+    w.end().key("columns").array();
+    for (const Column &c : _columns)
+        w.value(c.name);
+    w.end().key("histograms").object(4);
+    for (const NamedHistogram &h : _histograms) {
+        w.key(h.name).object().field("desc", h.desc);
+        w.field("count", h.hist->count()).key("labels").array();
         for (unsigned b = 0; b < h.hist->numBuckets(); ++b)
-            os << (b ? ", " : "") << h.hist->bucket(b);
-        os << "]}";
+            w.value(h.hist->label(b));
+        w.end().key("buckets").array();
+        for (unsigned b = 0; b < h.hist->numBuckets(); ++b)
+            w.value(h.hist->bucket(b));
+        w.end().end();
     }
-    os << (_histograms.empty() ? "},\n" : "\n  },\n");
-    os << "  \"summaries\": {";
-    for (std::size_t i = 0; i < _summaries.size(); ++i) {
-        os << (i ? ",\n    " : "\n    ");
-        jsonEscape(os, _summaries[i].name);
-        os << ": ";
-        _summaries[i].emit(os);
-    }
-    os << (_summaries.empty() ? "}\n" : "\n  }\n");
-    os << "}\n";
+    w.end().key("summaries").object(4);
+    for (const Summary &s : _summaries)
+        s.emit(w.key(s.name));
+    w.end().end();
+    os << "\n";
 }
 
 std::string

@@ -45,6 +45,8 @@
 namespace limitless
 {
 
+class JsonWriter;
+
 /**
  * Standalone power-of-two bucketed histogram for telemetry sinks.
  *
@@ -172,9 +174,10 @@ class Telemetry
                                 unsigned buckets = 16);
 
     /** Attach a free-form JSON value emitted under "summaries".<name> in
-     *  the sidecar (evaluated at write time — e.g. hotspot top-k). */
+     *  the sidecar (evaluated at write time — e.g. hotspot top-k); the
+     *  callback writes exactly one value. */
     void addSummary(std::string name,
-                    std::function<void(std::ostream &)> emit);
+                    std::function<void(JsonWriter &)> emit);
 
     /** Key/value run metadata for the JSON sidecar. */
     void setMeta(std::string key, std::string value);
@@ -239,7 +242,7 @@ class Telemetry
     struct Summary
     {
         std::string name;
-        std::function<void(std::ostream &)> emit;
+        std::function<void(JsonWriter &)> emit;
     };
 
     void prime();

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <fstream>
 #include <functional>
-#include <iomanip>
-#include <limits>
 #include <ostream>
 
 #include "obs/flight_recorder.hh"
@@ -48,63 +46,37 @@ legKind(Opcode op)
 }
 
 void
-writeDouble(std::ostream &os, double v)
+writeReservoir(JsonWriter &w, const QuantileReservoir &r)
 {
-    os << std::setprecision(std::numeric_limits<double>::max_digits10)
-       << v;
+    w.object().key("p50").exact(r.quantile(0.50));
+    w.key("p95").exact(r.quantile(0.95));
+    w.key("p99").exact(r.quantile(0.99));
+    w.key("mean").exact(r.mean());
+    w.field("count", r.count()).field("exact", r.exact()).end();
 }
 
 void
-writeReservoir(std::ostream &os, const QuantileReservoir &r)
+writePhases(JsonWriter &w, const PhaseSample &s)
 {
-    os << "{\"p50\": ";
-    writeDouble(os, r.quantile(0.50));
-    os << ", \"p95\": ";
-    writeDouble(os, r.quantile(0.95));
-    os << ", \"p99\": ";
-    writeDouble(os, r.quantile(0.99));
-    os << ", \"mean\": ";
-    writeDouble(os, r.mean());
-    os << ", \"count\": " << r.count()
-       << ", \"exact\": " << (r.exact() ? "true" : "false") << "}";
-}
-
-void
-writePhases(std::ostream &os, const PhaseSample &s)
-{
-    os << "{\"req_net\": ";
-    writeDouble(os, s.reqNet);
-    os << ", \"home\": ";
-    writeDouble(os, s.home);
-    os << ", \"trap\": ";
-    writeDouble(os, s.trap);
-    os << ", \"inv\": ";
-    writeDouble(os, s.inv);
-    os << ", \"reply_net\": ";
-    writeDouble(os, s.replyNet);
-    os << ", \"total\": ";
-    writeDouble(os, s.total);
-    os << "}";
+    w.object().key("req_net").exact(s.reqNet).key("home").exact(s.home);
+    w.key("trap").exact(s.trap).key("inv").exact(s.inv);
+    w.key("reply_net").exact(s.replyNet).key("total").exact(s.total);
+    w.end();
 }
 
 } // namespace
 
 void
-PhaseReservoirs::writeJson(std::ostream &os) const
+PhaseReservoirs::writeJson(JsonWriter &w) const
 {
-    os << "{\"req_net\": ";
-    writeReservoir(os, reqNet);
-    os << ", \"home\": ";
-    writeReservoir(os, home);
-    os << ", \"trap\": ";
-    writeReservoir(os, trap);
-    os << ", \"inv\": ";
-    writeReservoir(os, inv);
-    os << ", \"reply_net\": ";
-    writeReservoir(os, replyNet);
-    os << ", \"total\": ";
-    writeReservoir(os, total);
-    os << "}";
+    w.object();
+    writeReservoir(w.key("req_net"), reqNet);
+    writeReservoir(w.key("home"), home);
+    writeReservoir(w.key("trap"), trap);
+    writeReservoir(w.key("inv"), inv);
+    writeReservoir(w.key("reply_net"), replyNet);
+    writeReservoir(w.key("total"), total);
+    w.end();
 }
 
 // --------------------------------------------------------------------
@@ -471,30 +443,28 @@ TxnTracer::keepIfSlow(TxnRecord &&rec)
 void
 TxnTracer::emitChrome(const TxnRecord &rec) const
 {
-    FlightRecorder &fr = FlightRecorder::instance();
-    if (!fr.tracing())
+    // Null unless a trace is open and its line filter (per line, so one
+    // check covers every event below) passes this transaction's line.
+    JsonWriter *w = FlightRecorder::instance().traceRawEvent(rec.line);
+    if (!w)
         return;
+    const std::string line = traceLineHex(rec.line);
     for (std::size_t i = 0; i < rec.spans.size(); ++i) {
         const TxnSpan &span = rec.spans[i];
-        std::ostream *os = fr.traceRawEvent(rec.line);
-        if (!os)
-            return; // line filtered out (the filter is per-line)
-        *os << "{\"name\":";
-        jsonEscape(*os, span.kind);
-        *os << ",\"cat\":\"txn\",\"ph\":\"X\",\"ts\":" << span.start
-            << ",\"dur\":" << (span.end - span.start)
-            << ",\"pid\":0,\"tid\":"
-            << (span.node == invalidNode ? 0 : span.node)
-            << ",\"args\":{\"txn\":" << rec.id << ",\"span\":" << (i + 1)
-            << ",\"parent\":" << span.parent << ",\"line\":\"0x"
-            << std::hex << rec.line << std::dec << "\"";
+        const NodeId tid = span.node == invalidNode ? 0 : span.node;
+        w->object(JsonWriter::compact).field("name", span.kind);
+        w->field("cat", "txn").field("ph", "X").field("ts", span.start);
+        w->field("dur", span.end - span.start).field("pid", 0);
+        w->field("tid", tid).key("args").object();
+        w->field("txn", rec.id).field("span", i + 1);
+        w->field("parent", span.parent).field("line", line);
         if (span.peer != invalidNode)
-            *os << ",\"peer\":" << span.peer;
+            w->field("peer", span.peer);
         if (span.detail)
-            *os << ",\"detail\":\"" << span.detail << "\"";
+            w->field("detail", span.detail);
         if (span.arg)
-            *os << ",\"arg\":" << span.arg;
-        *os << "}}";
+            w->field("arg", span.arg);
+        w->end().end();
 
         // Network legs additionally get a flow arrow from the sending
         // node's slice to the receiving node, so the viewer draws the
@@ -502,17 +472,13 @@ TxnTracer::emitChrome(const TxnRecord &rec) const
         if (span.peer == invalidNode || span.parent == 0)
             continue;
         const std::uint64_t flow = rec.id * 4096 + (i + 1);
-        if ((os = fr.traceRawEvent(rec.line)) == nullptr)
-            return;
-        *os << "{\"name\":\"txn_flow\",\"cat\":\"txn\",\"ph\":\"s\",\"id\":"
-            << flow << ",\"ts\":" << span.start << ",\"pid\":0,\"tid\":"
-            << (span.node == invalidNode ? 0 : span.node) << "}";
-        if ((os = fr.traceRawEvent(rec.line)) == nullptr)
-            return;
-        *os << "{\"name\":\"txn_flow\",\"cat\":\"txn\",\"ph\":\"f\","
-               "\"bp\":\"e\",\"id\":"
-            << flow << ",\"ts\":" << span.end << ",\"pid\":0,\"tid\":"
-            << span.peer << "}";
+        w->object(JsonWriter::compact).field("name", "txn_flow");
+        w->field("cat", "txn").field("ph", "s").field("id", flow);
+        w->field("ts", span.start).field("pid", 0).field("tid", tid).end();
+        w->object(JsonWriter::compact).field("name", "txn_flow");
+        w->field("cat", "txn").field("ph", "f").field("bp", "e");
+        w->field("id", flow).field("ts", span.end).field("pid", 0);
+        w->field("tid", span.peer).end();
     }
 }
 
@@ -539,58 +505,45 @@ TxnTracer::top() const
 void
 TxnTracer::writeJson(std::ostream &os) const
 {
-    os << "{\n"
-       << "  \"schema\": \"limitless-txn-v1\",\n"
-       << "  \"version\": 1,\n"
-       << "  \"completed\": " << _completed << ",\n"
-       << "  \"unfinished\": " << _open.size() << ",\n"
-       << "  \"abandoned\": " << _abandoned << ",\n"
-       << "  \"top_k\": " << _topK << ",\n"
-       << "  \"phase_quantiles\": ";
-    _quantiles.writeJson(os);
-    os << ",\n  \"top\": [";
-    bool first_rec = true;
+    JsonWriter w(os);
+    w.object(2).field("schema", "limitless-txn-v1").field("version", 1);
+    w.field("completed", _completed).field("unfinished", _open.size());
+    w.field("abandoned", _abandoned).field("top_k", _topK);
+    _quantiles.writeJson(w.key("phase_quantiles"));
+    w.key("top").array(4);
     for (const TxnRecord *rec : top()) {
-        os << (first_rec ? "\n" : ",\n");
-        first_rec = false;
-        os << "    {\"id\": " << rec->id << ", \"requester\": "
-           << rec->requester << ", \"line\": \"0x" << std::hex
-           << rec->line << std::dec << "\", \"write\": "
-           << (rec->write ? "true" : "false") << ", \"start\": "
-           << rec->start << ", \"end\": " << rec->end << ",\n"
-           << "     \"phases\": ";
-        writePhases(os, rec->phases);
-        os << ",\n     \"spans\": [";
+        w.object().field("id", rec->id).field("requester", rec->requester);
+        w.field("line", traceLineHex(rec->line)).field("write", rec->write);
+        w.field("start", rec->start).field("end", rec->end);
+        writePhases(w.br(5).key("phases"), rec->phases);
+        w.br(5).key("spans").array();
         for (std::size_t i = 0; i < rec->spans.size(); ++i) {
             const TxnSpan &span = rec->spans[i];
-            os << (i ? ",\n                " : "") << "{\"id\": "
-               << (i + 1) << ", \"parent\": " << span.parent
-               << ", \"kind\": ";
-            jsonEscape(os, span.kind);
-            os << ", \"node\": "
-               << (span.node == invalidNode ? -1
-                                            : static_cast<int>(span.node));
+            if (i)
+                w.br(16);
+            w.object().field("id", i + 1).field("parent", span.parent);
+            w.field("kind", span.kind);
+            w.field("node", span.node == invalidNode
+                                ? -1
+                                : static_cast<int>(span.node));
             if (span.peer != invalidNode)
-                os << ", \"peer\": " << span.peer;
-            os << ", \"start\": " << span.start << ", \"end\": "
-               << span.end;
+                w.field("peer", span.peer);
+            w.field("start", span.start).field("end", span.end);
             if (span.detail)
-                os << ", \"detail\": \"" << span.detail << "\"";
+                w.field("detail", span.detail);
             if (span.arg)
-                os << ", \"arg\": " << span.arg;
-            os << "}";
+                w.field("arg", span.arg);
+            w.end();
         }
-        os << "],\n     \"critical\": [";
-        for (std::size_t i = 0; i < rec->critical.size(); ++i) {
-            const TxnCritSeg &seg = rec->critical[i];
-            os << (i ? ", " : "") << "{\"kind\": ";
-            jsonEscape(os, seg.kind);
-            os << ", \"span\": " << seg.span << ", \"start\": "
-               << seg.start << ", \"end\": " << seg.end << "}";
+        w.end().br(5).key("critical").array();
+        for (const TxnCritSeg &seg : rec->critical) {
+            w.object().field("kind", seg.kind).field("span", seg.span);
+            w.field("start", seg.start).field("end", seg.end).end();
         }
-        os << "]}";
+        w.end().end();
     }
-    os << "\n  ]\n}\n";
+    w.end().end();
+    os << "\n";
 }
 
 bool

@@ -47,6 +47,7 @@
 namespace limitless
 {
 
+class JsonWriter;
 struct Packet;
 
 /** One timed span in a transaction's causal tree. Span ids are 1-based
@@ -138,7 +139,7 @@ struct PhaseReservoirs
 
     /** `{"req_net": {"p50": ..}, ...}` — the stats-JSON
      *  "phase_quantiles" object. */
-    void writeJson(std::ostream &os) const;
+    void writeJson(JsonWriter &w) const;
 };
 
 /** Records causal span trees for in-flight remote transactions. */

@@ -2,11 +2,30 @@
 
 #include <cmath>
 #include <iomanip>
+#include <string>
 
+#include "obs/json.hh"
 #include "sim/log.hh"
 
 namespace limitless
 {
+
+namespace
+{
+
+/** {"count":N,"<key>":{"<i>":n_i,...}} over the nonzero counts. */
+void
+nonzeroCountsJson(JsonWriter &w, std::uint64_t count, const char *key,
+                  const std::vector<std::uint64_t> &counts)
+{
+    w.object(JsonWriter::compact).field("count", count).key(key).object();
+    for (std::size_t i = 0; i < counts.size(); ++i)
+        if (counts[i] != 0)
+            w.field(std::to_string(i), counts[i]);
+    w.end().end();
+}
+
+} // namespace
 
 double
 Accumulator::stddev() const
@@ -50,14 +69,18 @@ Accumulator::print(std::ostream &os) const
 }
 
 void
-Accumulator::json(std::ostream &os) const
+Counter::json(JsonWriter &w) const
 {
-    const auto prec =
-        os.precision(std::numeric_limits<double>::max_digits10);
-    os << "{\"count\":" << _count << ",\"mean\":" << mean()
-       << ",\"stddev\":" << stddev() << ",\"min\":" << minimum()
-       << ",\"max\":" << maximum() << ",\"sum\":" << sum() << "}";
-    os.precision(prec);
+    w.value(_value);
+}
+
+void
+Accumulator::json(JsonWriter &w) const
+{
+    w.object(JsonWriter::compact).field("count", _count);
+    w.key("mean").exact(mean()).key("stddev").exact(stddev());
+    w.key("min").exact(minimum()).key("max").exact(maximum());
+    w.key("sum").exact(sum()).end();
 }
 
 void
@@ -77,19 +100,9 @@ Histogram::print(std::ostream &os) const
 }
 
 void
-Histogram::json(std::ostream &os) const
+Histogram::json(JsonWriter &w) const
 {
-    os << "{\"count\":" << _count << ",\"buckets\":{";
-    bool first = true;
-    for (std::size_t i = 0; i < _buckets.size(); ++i) {
-        if (_buckets[i] == 0)
-            continue;
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\"" << i << "\":" << _buckets[i];
-    }
-    os << "}}";
+    nonzeroCountsJson(w, _count, "buckets", _buckets);
 }
 
 void
@@ -109,19 +122,9 @@ Distribution::print(std::ostream &os) const
 }
 
 void
-Distribution::json(std::ostream &os) const
+Distribution::json(JsonWriter &w) const
 {
-    os << "{\"count\":" << _count << ",\"values\":{";
-    bool first = true;
-    for (std::size_t i = 0; i < _counts.size(); ++i) {
-        if (_counts[i] == 0)
-            continue;
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\"" << i << "\":" << _counts[i];
-    }
-    os << "}}";
+    nonzeroCountsJson(w, _count, "values", _counts);
 }
 
 template <typename T, typename... Args>
@@ -192,18 +195,14 @@ StatSet::dump(std::ostream &os) const
 }
 
 void
-StatSet::json(std::ostream &os) const
+StatSet::json(JsonWriter &w) const
 {
-    os << "{";
-    bool first = true;
+    w.object(JsonWriter::compact);
     for (const auto &s : _stats) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\"" << s->name() << "\":";
-        s->json(os);
+        w.key(s->name());
+        s->json(w);
     }
-    os << "}";
+    w.end();
 }
 
 void

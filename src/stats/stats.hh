@@ -24,6 +24,8 @@
 namespace limitless
 {
 
+class JsonWriter;
+
 /** Base class for a named statistic. */
 class Stat
 {
@@ -41,7 +43,7 @@ class Stat
     virtual void print(std::ostream &os) const = 0;
 
     /** Emit the stat's value(s) as one JSON value. */
-    virtual void json(std::ostream &os) const = 0;
+    virtual void json(JsonWriter &w) const = 0;
 
     /** Reset to the just-constructed state. */
     virtual void reset() = 0;
@@ -63,7 +65,7 @@ class Counter : public Stat
     std::uint64_t value() const { return _value; }
 
     void print(std::ostream &os) const override { os << _value; }
-    void json(std::ostream &os) const override { os << _value; }
+    void json(JsonWriter &w) const override;
     void reset() override { _value = 0; }
 
   private:
@@ -106,7 +108,7 @@ class Accumulator : public Stat
     void merge(const Accumulator &other);
 
     void print(std::ostream &os) const override;
-    void json(std::ostream &os) const override;
+    void json(JsonWriter &w) const override;
 
     void
     reset() override
@@ -156,7 +158,7 @@ class Histogram : public Stat
     unsigned numBuckets() const { return _buckets.size(); }
 
     void print(std::ostream &os) const override;
-    void json(std::ostream &os) const override;
+    void json(JsonWriter &w) const override;
 
     void
     reset() override
@@ -208,7 +210,7 @@ class Distribution : public Stat
     std::size_t domain() const { return _maxValue + 1; }
 
     void print(std::ostream &os) const override;
-    void json(std::ostream &os) const override;
+    void json(JsonWriter &w) const override;
 
     void
     reset() override
@@ -254,8 +256,9 @@ class StatSet
     /** Dump every stat, one "prefix.name value # desc" line each. */
     void dump(std::ostream &os) const;
 
-    /** Emit the whole set as one JSON object keyed by stat name. */
-    void json(std::ostream &os) const;
+    /** Emit the whole set as one compact JSON object keyed by stat
+     *  name. */
+    void json(JsonWriter &w) const;
 
     void resetAll();
 

@@ -1,17 +1,24 @@
 /**
  * @file
- * Flight-recorder subsystem tests: JSON helpers, the Chrome trace_event
- * stream, the remote-miss phase decomposition (phases must sum exactly
- * to the end-to-end latency and match the cache's own accumulator), the
+ * Flight-recorder subsystem tests: JSON helpers and the JsonWriter
+ * layouts every export relies on, the Chrome trace_event stream, the
+ * remote-miss phase decomposition (phases must sum exactly to the
+ * end-to-end latency and match the cache's own accumulator), the
  * postmortem ring dump on invariant violations, machine stats-JSON
- * export, and the Welford variance machinery in Accumulator.
+ * export (pinned by a golden file), and the Welford variance machinery
+ * in Accumulator.
+ *
+ * Regenerate the stats golden after an intentional layout change with
+ *   LIMITLESS_UPDATE_GOLDEN=1 ./test_observability
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 
 #include "harness/cli.hh"
@@ -34,6 +41,93 @@ TEST(Json, EscapeQuotesBackslashesAndControls)
     std::ostringstream os;
     jsonEscape(os, "a\"b\\c\nd\x01");
     EXPECT_EQ(os.str(), "\"a\\\"b\\\\c\\nd\\u0001\"");
+}
+
+TEST(JsonWriter, InlineContainersSeparateWithCommaSpace)
+{
+    std::ostringstream os;
+    JsonWriter w(os);
+    w.object().field("a", 1).field("b", "x").field("c", true);
+    w.key("d").array().value(1).value(2).end();
+    w.key("e").object().end().key("f").array().end().end();
+    EXPECT_EQ(os.str(), "{\"a\": 1, \"b\": \"x\", \"c\": true, "
+                        "\"d\": [1, 2], \"e\": {}, \"f\": []}");
+}
+
+TEST(JsonWriter, CompactReachesEverythingNestedInside)
+{
+    std::ostringstream os;
+    JsonWriter w(os);
+    w.object().field("outer", 1).key("in").object(JsonWriter::compact);
+    w.field("a", 1).key("b").object().field("c", 2).end();
+    w.key("d").array().value(3).value(4).end().end();
+    w.field("after", 5).end();
+    EXPECT_EQ(os.str(), "{\"outer\": 1, \"in\": {\"a\":1,\"b\":{\"c\":2},"
+                        "\"d\":[3,4]}, \"after\": 5}");
+}
+
+TEST(JsonWriter, IndentedContainersCloseTwoSpacesLeft)
+{
+    std::ostringstream os;
+    JsonWriter w(os);
+    w.object(2).field("a", 1).key("rows").array(4);
+    w.object().field("x", 1).end().object().field("x", 2).end();
+    w.end().key("none").array(4).end().end();
+    EXPECT_EQ(os.str(), "{\n"
+                        "  \"a\": 1,\n"
+                        "  \"rows\": [\n"
+                        "    {\"x\": 1},\n"
+                        "    {\"x\": 2}\n"
+                        "  ],\n"
+                        "  \"none\": []\n"
+                        "}");
+
+    // Indent 0 (the Chrome trace's events array) closes at column 0.
+    std::ostringstream top;
+    JsonWriter t(top);
+    t.array(0).value(1).value(2).end();
+    EXPECT_EQ(top.str(), "[\n1,\n2\n]");
+}
+
+TEST(JsonWriter, LineBreakAppliesToTheNextMemberOnly)
+{
+    std::ostringstream os;
+    JsonWriter w(os);
+    w.object().field("id", 1).br(5).key("spans").array();
+    w.object().field("id", 1).end().br(16).object().field("id", 2).end();
+    w.end().field("end", 9).end();
+    EXPECT_EQ(os.str(), "{\"id\": 1,\n"
+                        "     \"spans\": [{\"id\": 1},\n"
+                        "                {\"id\": 2}], \"end\": 9}");
+}
+
+TEST(JsonWriter, EscapesKeysAndValues)
+{
+    std::ostringstream os;
+    JsonWriter w(os);
+    w.object().field("k\"\n", std::string("v\\\t\x01")).end();
+    EXPECT_EQ(os.str(), "{\"k\\\"\\n\": \"v\\\\\\t\\u0001\"}");
+    std::string err;
+    EXPECT_TRUE(jsonValidate(os.str(), &err)) << err;
+}
+
+TEST(JsonWriter, ExactLeavesTheStreamPrecisionAsItFoundIt)
+{
+    std::ostringstream os;
+    os << std::setprecision(3);
+    JsonWriter w(os);
+    const double x = 0.1 + 0.2;
+    w.array().value(x).exact(x).value(x).end();
+    EXPECT_EQ(os.str(), "[0.3, 0.30000000000000004, 0.3]");
+    EXPECT_EQ(os.precision(), 3);
+}
+
+TEST(JsonWriter, RawWritesPreformattedNumbers)
+{
+    std::ostringstream os;
+    JsonWriter w(os);
+    w.object().key("ts").raw("12.034").field("n", 1).end();
+    EXPECT_EQ(os.str(), "{\"ts\": 12.034, \"n\": 1}");
 }
 
 TEST(Json, ValidateAcceptsValidDocuments)
@@ -264,12 +358,52 @@ TEST(StatsJson, MachineExportIsValidJson)
     const std::string text = os.str();
     std::string err;
     ASSERT_TRUE(jsonValidate(text, &err)) << err;
-    EXPECT_NE(text.find("\"schema\": \"limitless-stats-v1\""),
+    EXPECT_NE(text.find("\"schema\": \"limitless-stats-v3\""),
               std::string::npos);
+    EXPECT_NE(text.find("\"schema_version\": 3"), std::string::npos);
+    EXPECT_EQ(text.find("directory_storage"), std::string::npos);
     EXPECT_NE(text.find("\"phases\""), std::string::npos);
     EXPECT_NE(text.find("\"aggregate\""), std::string::npos);
     EXPECT_NE(text.find("\"network\""), std::string::npos);
     EXPECT_NE(text.find("\"cycles\": 12345"), std::string::npos);
+}
+
+TEST(StatsJson, GoldenFourNodeWeather)
+{
+    // The run behind the telemetry and txn goldens: limitless-sim
+    // --workload weather --protocol limitless2 --nodes 4 --iterations 4
+    // --seed 7. No RunResult is passed, so there is no host block and
+    // every byte is deterministic.
+    FlightRecorder::instance().resetRun();
+    MachineConfig cfg;
+    cfg.numNodes = 4;
+    cfg.seed = 7;
+    cfg.protocol = parseProtocol("limitless2");
+    Machine m(cfg);
+    const auto wl = makeWorkloadFactory("weather", 4, cfg.seed)();
+    wl->install(m);
+    const RunResult run = m.run();
+    ASSERT_TRUE(run.completed);
+    wl->verify(m);
+
+    std::ostringstream os;
+    m.dumpStatsJson(os, run.cycles, nullptr);
+    const std::string path =
+        std::string(LIMITLESS_GOLDEN_DIR) + "/stats_4node.json";
+    if (std::getenv("LIMITLESS_UPDATE_GOLDEN")) {
+        std::ofstream out(path);
+        ASSERT_TRUE(out.good()) << path;
+        out << os.str();
+        return;
+    }
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << "missing golden " << path
+                           << " (set LIMITLESS_UPDATE_GOLDEN=1 to write)";
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    EXPECT_EQ(os.str(), golden.str())
+        << "stats JSON changed; bump the schema per docs/OBSERVABILITY.md "
+           "§6 and regenerate the golden if intended";
 }
 
 // -------------------------------------------------- Welford variance
@@ -320,7 +454,8 @@ TEST(WelfordAccumulator, JsonIncludesStddev)
     acc.sample(1.0);
     acc.sample(3.0);
     std::ostringstream os;
-    acc.json(os);
+    JsonWriter w(os);
+    acc.json(w);
     std::string err;
     EXPECT_TRUE(jsonValidate(os.str(), &err)) << err;
     EXPECT_NE(os.str().find("\"stddev\":1"), std::string::npos);

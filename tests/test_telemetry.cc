@@ -287,6 +287,15 @@ TEST(Telemetry, WindowedOverflowFractionRecoversRunLevelM)
     EXPECT_GT(run_m, 0.0) << "LimitLESS4 under 64 sharers must trap";
     EXPECT_NEAR(weighted / total_reqs, run_m, 1e-12);
 
+    // Rate columns recover run totals too: the invalidations caches
+    // received, window by window, add up to the cache.invs counter.
+    const std::uint64_t invs = machine.sumCounter("cache", "invs");
+    EXPECT_GT(invs, 0u) << "64 readers of one line must be invalidated";
+    double invs_rx = 0.0;
+    for (double v : t->values("cache.invs_rx"))
+        invs_rx += v;
+    EXPECT_EQ(invs_rx, static_cast<double>(invs));
+
     // The worker-set profile (the paper's Trap-Always measurement) saw
     // traffic, and the hot variable's full-machine worker set landed in
     // the top buckets.

@@ -92,6 +92,27 @@ TEST(PhaseReservoirs, MergeSumsCounts)
     EXPECT_DOUBLE_EQ(a.reqNet.quantile(0.99), 3.0);
 }
 
+TEST(PhaseReservoirs, JsonLeavesLaterDoublesAtTheStreamPrecision)
+{
+    // A traced BENCH row's quantiles print at full precision; the rows
+    // and fields after them must still print like untraced ones.
+    PhaseSample s{};
+    s.reqNet = 1.0 / 3.0;
+    s.total = 1.0 / 3.0;
+    PhaseReservoirs q;
+    q.add(s);
+    std::ostringstream os;
+    JsonWriter w(os);
+    w.array().value(2.0 / 3.0);
+    q.writeJson(w);
+    w.value(2.0 / 3.0).end();
+    const std::string text = os.str();
+    EXPECT_EQ(text.substr(0, 12), "[0.666667, {");
+    EXPECT_EQ(text.substr(text.size() - 12), "}, 0.666667]");
+    EXPECT_NE(text.find("0.33333333333333331"), std::string::npos)
+        << "quantiles themselves print at max_digits10";
+}
+
 // ------------------------------------------- span-tree machine runs
 
 MachineConfig

@@ -30,6 +30,7 @@
 #include "check/trace_io.hh"
 #include "harness/cli.hh"
 #include "harness/parallel_runner.hh"
+#include "obs/json.hh"
 #include "sim/log.hh"
 
 using namespace limitless;
@@ -133,14 +134,15 @@ void
 printJson(std::ostream &os, const CheckConfig &cfg, const ExploreResult &r)
 {
     const ExploreStats &s = r.stats;
-    os << "{\"config\": \"" << cfg.name() << "\", \"states\": "
-       << s.states << ", \"transitions\": " << s.transitions
-       << ", \"terminals\": " << s.terminals << ", \"max_depth\": "
-       << s.maxDepth << ", \"elapsed_ms\": " << s.elapsedMs
-       << ", \"exhaustive\": " << (s.exhaustive() ? "true" : "false")
-       << ", \"violation\": \""
-       << violationKindName(r.cex ? r.cex->kind : ViolationKind::none)
-       << "\"}\n";
+    JsonWriter w(os);
+    w.object().field("config", cfg.name()).field("states", s.states);
+    w.field("transitions", s.transitions).field("terminals", s.terminals);
+    w.field("max_depth", s.maxDepth).field("elapsed_ms", s.elapsedMs);
+    w.field("exhaustive", s.exhaustive());
+    w.field("violation", violationKindName(r.cex ? r.cex->kind
+                                                 : ViolationKind::none));
+    w.end();
+    os << "\n";
 }
 
 void

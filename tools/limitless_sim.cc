@@ -131,21 +131,21 @@ hostSliceSink(const char *name, std::uint64_t startNs, std::uint64_t durNs)
     static std::uint64_t emitted = 0;
     if (emitted >= 200'000)
         return;
-    std::ostream *os = FlightRecorder::instance().traceRawEvent(0);
-    if (!os)
+    JsonWriter *w = FlightRecorder::instance().traceRawEvent(0);
+    if (!w)
         return;
     ++emitted;
-    char buf[192];
-    std::snprintf(buf, sizeof buf,
-                  "{\"name\": \"%s\", \"cat\": \"host\", \"ph\": \"X\", "
-                  "\"pid\": 1, \"tid\": 0, \"ts\": %llu.%03llu, "
-                  "\"dur\": %llu.%03llu}",
-                  name,
-                  static_cast<unsigned long long>(startNs / 1000),
-                  static_cast<unsigned long long>(startNs % 1000),
-                  static_cast<unsigned long long>(durNs / 1000),
-                  static_cast<unsigned long long>(durNs % 1000));
-    *os << buf;
+    // Fixed-point microseconds, exact to the nanosecond.
+    auto micros = [](std::uint64_t ns) {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%llu.%03llu",
+                      static_cast<unsigned long long>(ns / 1000),
+                      static_cast<unsigned long long>(ns % 1000));
+        return std::string(buf);
+    };
+    w->object().field("name", name).field("cat", "host").field("ph", "X");
+    w->field("pid", 1).field("tid", 0).key("ts").raw(micros(startNs));
+    w->key("dur").raw(micros(durNs)).end();
 }
 
 } // namespace
