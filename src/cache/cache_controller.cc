@@ -279,8 +279,7 @@ CacheController::handlePacket(PacketPtr pkt)
     const auto pre = static_cast<std::uint8_t>(
         ctx.cl ? ctx.cl->state : CacheState::invalid);
     const auto &tr = _table->fire(ctx, pre, op);
-    _observed.insert((static_cast<std::uint32_t>(pre) << 16) |
-                     static_cast<std::uint16_t>(op));
+    _observed.note(pre, op);
     {
         TraceEvent ev;
         ev.ts = _eq.now();

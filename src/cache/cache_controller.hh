@@ -21,7 +21,6 @@
 #include <functional>
 #include <iosfwd>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "cache/cache_array.hh"
 #include "cache/mem_op.hh"
@@ -118,9 +117,7 @@ class CacheController
     void
     forEachObservedTransition(Fn &&fn) const
     {
-        for (std::uint32_t packed : _observed)
-            fn(static_cast<std::uint8_t>(packed >> 16),
-               static_cast<Opcode>(packed & 0xffff));
+        _observed.forEach(fn);
     }
 
     /** Home node of an address (exposed for the processor's
@@ -214,7 +211,7 @@ class CacheController
     const TransitionTable<CacheCtx> *_table = nullptr;
     std::unordered_map<Addr, Txn> _txns;
     std::deque<WaitingAccess> _waiting;
-    std::unordered_set<std::uint32_t> _observed; ///< fired (state, op)
+    ObservedTransitions<numCacheStates> _observed;
     bool _drainScheduled = false;
 
     StatSet _stats{"cache"};

@@ -251,8 +251,7 @@ ChipHomeController::process(PacketPtr &pkt)
 
     const auto pre = static_cast<std::uint8_t>(cl.state);
     const auto &tr = _policy->table->fire(ctx, pre, op);
-    _observed.insert((static_cast<std::uint32_t>(pre) << 16) |
-                     static_cast<std::uint16_t>(op));
+    _observed.note(pre, op);
     {
         TraceEvent ev;
         ev.ts = _eq.now();

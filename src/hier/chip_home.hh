@@ -34,7 +34,6 @@
 #include <iosfwd>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "directory/directory.hh"
@@ -45,6 +44,7 @@
 #include "mem/memory_controller.hh"
 #include "proto/packet.hh"
 #include "proto/protocol_params.hh"
+#include "proto/transition.hh"
 #include "sim/event_queue.hh"
 #include "stats/stats.hh"
 
@@ -242,9 +242,7 @@ class ChipHomeController
     void
     forEachObservedTransition(Fn &&fn) const
     {
-        for (std::uint32_t packed : _observed)
-            fn(static_cast<std::uint8_t>(packed >> 16),
-               static_cast<Opcode>(packed & 0xffff));
+        _observed.forEach(fn);
     }
 
   private:
@@ -270,7 +268,7 @@ class ChipHomeController
     std::unordered_map<Addr, ChipLine> _lines;
     Addr _mruLineAddr = Addr(-1);
     ChipLine *_mruLine = nullptr;
-    std::unordered_set<std::uint32_t> _observed;
+    ObservedTransitions<numChipStates> _observed;
 
     Log2Histogram *_wsProfile = nullptr;
     Log2Histogram *_trapServiceHist = nullptr;

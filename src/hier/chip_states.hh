@@ -16,6 +16,7 @@
 #ifndef LIMITLESS_HIER_CHIP_STATES_HH
 #define LIMITLESS_HIER_CHIP_STATES_HH
 
+#include <cstddef>
 #include <cstdint>
 
 namespace limitless
@@ -41,6 +42,10 @@ enum class ChipState : std::uint8_t
     hChipET,   ///< chip directory full on a local read: evicting one
                ///< local pointer (limited/LimitLESS chip directories)
 };
+
+/** Number of ChipState values (hChipET is the last). */
+constexpr std::size_t numChipStates =
+    static_cast<std::size_t>(ChipState::hChipET) + 1;
 
 const char *chipStateName(ChipState s);
 

@@ -19,6 +19,16 @@
 namespace limitless
 {
 
+namespace
+{
+/** Every run loop poll (after each 512-event burst serially, after each
+ *  window in parallel) checks completion and the cycle cap. Work that
+ *  walks every node or partition buffer runs on every pollStride-th
+ *  poll instead: the watchdog's op count and the parallel kernel's
+ *  latency-stamp replay. */
+constexpr std::uint64_t pollStride = 64;
+} // namespace
+
 std::uint64_t
 hostPeakRssKb()
 {
@@ -481,10 +491,6 @@ Machine::run(Tick max_cycles)
     std::uint64_t last_ops = progress();
     Tick last_progress_tick = 0;
     std::uint64_t polls = 0;
-    // A window is one simulated tick, so the parallel kernel polls the
-    // watchdog on a stride; the panic trips at most 64 windows later
-    // than the serial loop's burst-granularity check.
-    const std::uint64_t watchdog_stride = _numParts > 1 ? 64 : 1;
     bool aborted = false;
 
     // The poll both modes run after every event burst (serial) or
@@ -510,7 +516,12 @@ Machine::run(Tick max_cycles)
             result.cycles = now;
             return false;
         }
-        if (++polls % watchdog_stride == 0) {
+        // The watchdog samples progress every pollStride polls. It can
+        // see the last completed op one stride late and the expired
+        // limit one more stride late, so the panic trips within two
+        // strides (128 bursts of 512 events serially, 128 windows in
+        // parallel) after watchdogCycles without progress, never early.
+        if (++polls % pollStride == 0) {
             const std::uint64_t ops = progress();
             if (ops != last_ops) {
                 last_ops = ops;
@@ -592,9 +603,11 @@ Machine::runWindows(std::function<bool(Tick)> on_window)
         }
     }
 
-    // Latency stamps defer into per-partition buffers and replay into
-    // the main tracker in global tick order after the run (see
-    // LatencyTracker::DeferredStamp for the exactness argument).
+    // Latency stamps defer into per-partition buffers. Every pollStride
+    // windows, and once after the run, the coordinator replays the ones
+    // dated up to the retired window into the main tracker, so the
+    // buffers hold about a stride of stamps however long the run is
+    // (LatencyTracker::DeferredStamp has the exactness argument).
     std::vector<std::vector<LatencyTracker::DeferredStamp>> lat_bufs(
         _numParts);
 
@@ -603,12 +616,17 @@ Machine::runWindows(std::function<bool(Tick)> on_window)
         // Every partition's thread-local recorder stamps off its own
         // partition clock and defers latency hooks — partition 0 (the
         // caller's recorder, the one holding the run's state) included,
-        // so the replay below sees one uniformly ordered stream.
+        // so the replay sees one uniformly ordered stream.
         FlightRecorder &fr = FlightRecorder::instance();
         fr.setClock(_partQueues[p]);
         fr.latency().deferTo(&lat_bufs[p], _partQueues[p]);
     };
-    hooks.onWindow = std::move(on_window);
+    std::uint64_t windows = 0;
+    hooks.onWindow = [&](Tick t) {
+        if (++windows % pollStride == 0)
+            FlightRecorder::instance().latency().replayThrough(t, lat_bufs);
+        return on_window(t);
+    };
 
     auto *mesh = dynamic_cast<MeshNetwork *>(_net.get());
     // Hand the kernel the stats sink only when someone will consume it
@@ -620,26 +638,12 @@ Machine::runWindows(std::function<bool(Tick)> on_window)
                           time_barriers ? _pkStats.get() : nullptr);
     kernel.run(hooks);
 
-    // Back on the caller thread, workers joined. Return the recorder to
-    // direct mode and replay the deferred latency stamps in global tick
-    // order (stable sort keeps each partition's own order within a tick).
+    // Back on the caller thread, workers joined: return the recorder to
+    // direct mode and replay the stamps still buffered.
     FlightRecorder &fr = FlightRecorder::instance();
     fr.setClock(&_eq);
     fr.latency().deferTo(nullptr, nullptr);
-    std::size_t total_stamps = 0;
-    for (const auto &buf : lat_bufs)
-        total_stamps += buf.size();
-    std::vector<LatencyTracker::DeferredStamp> stamps;
-    stamps.reserve(total_stamps);
-    for (const auto &buf : lat_bufs)
-        stamps.insert(stamps.end(), buf.begin(), buf.end());
-    std::stable_sort(stamps.begin(), stamps.end(),
-                     [](const LatencyTracker::DeferredStamp &a,
-                        const LatencyTracker::DeferredStamp &b) {
-                         return a.now < b.now;
-                     });
-    for (const auto &s : stamps)
-        fr.latency().replay(s);
+    fr.latency().replayThrough(maxTick, lat_bufs);
 
     // Fold the per-partition histogram shadows back into the shared
     // sinks and repoint the producers at them.

@@ -481,8 +481,7 @@ MemoryController::process(PacketPtr &pkt, bool bypass_meta)
 
     const auto pre = static_cast<std::uint8_t>(hl.state);
     const auto &tr = _homePolicy->table->fire(ctx, pre, op);
-    _observed.insert((static_cast<std::uint32_t>(pre) << 16) |
-                     static_cast<std::uint16_t>(op));
+    _observed.note(pre, op);
     {
         TraceEvent ev;
         ev.ts = _eq.now();

@@ -35,7 +35,6 @@
 #include <iosfwd>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "cache/mem_op.hh"
 #include "directory/chained_dir.hh"
@@ -48,6 +47,7 @@
 #include "proto/packet.hh"
 #include "proto/protocol_params.hh"
 #include "proto/states.hh"
+#include "proto/transition.hh"
 #include "sim/event_queue.hh"
 #include "stats/stats.hh"
 
@@ -309,9 +309,7 @@ class MemoryController
     void
     forEachObservedTransition(Fn &&fn) const
     {
-        for (std::uint32_t packed : _observed)
-            fn(static_cast<std::uint8_t>(packed >> 16),
-               static_cast<Opcode>(packed & 0xffff));
+        _observed.forEach(fn);
     }
 
   private:
@@ -344,7 +342,7 @@ class MemoryController
     HomeLine *_mruLine = nullptr;
     Addr _mruWordsAddr = Addr(-1);
     LineWords *_mruWords = nullptr;
-    std::unordered_set<std::uint32_t> _observed; ///< fired (state, op)
+    ObservedTransitions<numMemStates> _observed;
 
     Log2Histogram *_wsProfile = nullptr;       ///< telemetry, may be null
     Log2Histogram *_trapServiceHist = nullptr; ///< telemetry, may be null

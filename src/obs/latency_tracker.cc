@@ -1,5 +1,7 @@
 #include "obs/latency_tracker.hh"
 
+#include <algorithm>
+
 #include "obs/json.hh"
 #include "sim/event_queue.hh"
 
@@ -10,6 +12,9 @@ namespace
 {
 /// Shorthand for building a deferred stamp inside the hook bodies.
 using Kind = LatencyTracker::DeferredStamp::Kind;
+// Parallel runs buffer a window stride of these per partition.
+static_assert(sizeof(LatencyTracker::DeferredStamp) == 32,
+              "a deferred stamp is four words");
 } // namespace
 
 void
@@ -27,6 +32,7 @@ LatencyTracker::reset()
     _sumChipHome = 0.0;
     _sumGlobalHome = 0.0;
     _sumInterChipInv = 0.0;
+    _replayStats = {};
 }
 
 LatencyTracker::Open *
@@ -63,8 +69,7 @@ void
 LatencyTracker::onInject(Tick now, NodeId requester, Addr line, bool write)
 {
     if (_deferBuf) {
-        _deferBuf->push_back(
-            {now, 0, requester, invalidNode, line, Kind::inject, write});
+        _deferBuf->push_back({now, line, write, requester, Kind::inject});
         return;
     }
     Open open;
@@ -79,8 +84,7 @@ void
 LatencyTracker::onHomeArrival(Tick now, NodeId requester, Addr line)
 {
     if (_deferBuf) {
-        _deferBuf->push_back({now, 0, requester, invalidNode, line,
-                              Kind::homeArrival, false});
+        _deferBuf->push_back({now, line, 0, requester, Kind::homeArrival});
         return;
     }
     bool parent = false;
@@ -99,8 +103,8 @@ LatencyTracker::onTrap(NodeId requester, Addr line, Tick cycles)
         // The one hook without a caller-supplied tick: stamp it with the
         // deferring partition's clock so the sort interleaves it exactly
         // where the serial run would have applied it.
-        _deferBuf->push_back({_deferClock->now(), cycles, requester,
-                              invalidNode, line, Kind::trap, false});
+        _deferBuf->push_back(
+            {_deferClock->now(), line, cycles, requester, Kind::trap});
         return;
     }
     bool parent = false;
@@ -116,8 +120,7 @@ void
 LatencyTracker::onInvStart(Tick now, NodeId requester, Addr line)
 {
     if (_deferBuf) {
-        _deferBuf->push_back({now, 0, requester, invalidNode, line,
-                              Kind::invStart, false});
+        _deferBuf->push_back({now, line, 0, requester, Kind::invStart});
         return;
     }
     bool parent = false;
@@ -135,8 +138,7 @@ void
 LatencyTracker::onInvEnd(Tick now, NodeId requester, Addr line)
 {
     if (_deferBuf) {
-        _deferBuf->push_back(
-            {now, 0, requester, invalidNode, line, Kind::invEnd, false});
+        _deferBuf->push_back({now, line, 0, requester, Kind::invEnd});
         return;
     }
     bool parent = false;
@@ -152,8 +154,7 @@ void
 LatencyTracker::onReplySent(Tick now, NodeId requester, Addr line)
 {
     if (_deferBuf) {
-        _deferBuf->push_back({now, 0, requester, invalidNode, line,
-                              Kind::replySent, false});
+        _deferBuf->push_back({now, line, 0, requester, Kind::replySent});
         return;
     }
     bool parent = false;
@@ -169,8 +170,7 @@ void
 LatencyTracker::onChipArrival(Tick now, NodeId requester, Addr line)
 {
     if (_deferBuf) {
-        _deferBuf->push_back({now, 0, requester, invalidNode, line,
-                              Kind::chipArrival, false});
+        _deferBuf->push_back({now, line, 0, requester, Kind::chipArrival});
         return;
     }
     if (Open *open = find(requester, line))
@@ -182,8 +182,8 @@ LatencyTracker::onParentForward(Tick now, NodeId requester, Addr line,
                                 NodeId chip_node)
 {
     if (_deferBuf) {
-        _deferBuf->push_back({now, 0, requester, chip_node, line,
-                              Kind::parentForward, false});
+        _deferBuf->push_back(
+            {now, line, chip_node, requester, Kind::parentForward});
         return;
     }
     if (Open *open = find(requester, line)) {
@@ -196,8 +196,8 @@ void
 LatencyTracker::onParentConsumed(Tick now, NodeId chip_node, Addr line)
 {
     if (_deferBuf) {
-        _deferBuf->push_back({now, 0, chip_node, invalidNode, line,
-                              Kind::parentConsumed, false});
+        _deferBuf->push_back(
+            {now, line, 0, chip_node, Kind::parentConsumed});
         return;
     }
     auto a = _aliases.find(key(chip_node, line));
@@ -213,8 +213,7 @@ void
 LatencyTracker::onComplete(Tick now, NodeId requester, Addr line)
 {
     if (_deferBuf) {
-        _deferBuf->push_back({now, 0, requester, invalidNode, line,
-                              Kind::complete, false});
+        _deferBuf->push_back({now, line, 0, requester, Kind::complete});
         return;
     }
     auto it = _open.find(key(requester, line));
@@ -341,7 +340,7 @@ LatencyTracker::replay(const DeferredStamp &s)
 {
     switch (s.kind) {
     case Kind::inject:
-        onInject(s.now, s.node, s.line, s.write);
+        onInject(s.now, s.node, s.line, s.arg != 0);
         break;
     case Kind::homeArrival:
         onHomeArrival(s.now, s.node, s.line);
@@ -350,13 +349,13 @@ LatencyTracker::replay(const DeferredStamp &s)
         onChipArrival(s.now, s.node, s.line);
         break;
     case Kind::parentForward:
-        onParentForward(s.now, s.node, s.line, s.chipNode);
+        onParentForward(s.now, s.node, s.line, static_cast<NodeId>(s.arg));
         break;
     case Kind::parentConsumed:
         onParentConsumed(s.now, s.node, s.line);
         break;
     case Kind::trap:
-        onTrap(s.node, s.line, s.cycles);
+        onTrap(s.node, s.line, s.arg);
         break;
     case Kind::invStart:
         onInvStart(s.now, s.node, s.line);
@@ -371,6 +370,43 @@ LatencyTracker::replay(const DeferredStamp &s)
         onComplete(s.now, s.node, s.line);
         break;
     }
+}
+
+void
+LatencyTracker::replayThrough(Tick through,
+                              std::vector<std::vector<DeferredStamp>> &bufs)
+{
+    // Point at the due stamps partition-major, each buffer in append
+    // order; the stable sort by tick then yields (tick, partition,
+    // append-order) without copying a stamp.
+    std::vector<const DeferredStamp *> due;
+    std::uint64_t buffered = 0;
+    for (const auto &buf : bufs) {
+        buffered += buf.size();
+        for (const DeferredStamp &s : buf)
+            if (s.now <= through)
+                due.push_back(&s);
+    }
+    std::stable_sort(due.begin(), due.end(),
+                     [](const DeferredStamp *a, const DeferredStamp *b) {
+                         return a->now < b->now;
+                     });
+    _replayStats.flushes += 1;
+    _replayStats.held += buffered - due.size();
+    _replayStats.peakBuffered =
+        std::max(_replayStats.peakBuffered, buffered);
+
+    std::vector<DeferredStamp> *const defer_buf = _deferBuf;
+    const EventQueue *const defer_clock = _deferClock;
+    deferTo(nullptr, nullptr);
+    for (const DeferredStamp *s : due)
+        replay(*s);
+    deferTo(defer_buf, defer_clock);
+
+    for (auto &buf : bufs)
+        std::erase_if(buf, [through](const DeferredStamp &s) {
+            return s.now <= through;
+        });
 }
 
 void

@@ -90,7 +90,7 @@ struct PhaseSample
 class LatencyTracker
 {
   public:
-    /** Drop all in-flight stamps and accumulated sums. */
+    /** Drop all in-flight stamps, accumulated sums and replay stats. */
     void reset();
 
     /** Requesting cache issued a remote RREQ/WREQ miss. */
@@ -141,15 +141,21 @@ class LatencyTracker
 
     /** One recorded hook invocation from a deferring tracker (parallel
      *  runs). Workers append stamps instead of mutating tracker state;
-     *  after the kernel drains, the stamps are concatenated
-     *  partition-major, stable-sorted by tick, and replay()ed into the
-     *  main tracker. The result is bit-identical to the serial run:
-     *  per-record stamps are keyed by (requester, line) and any two
-     *  stamps of the same record are at least one network hop (>= 2
-     *  ticks) apart when they originate on different partitions, so the
-     *  (tick, partition, append-order) sort reproduces the serial
+     *  as windows retire, replayThrough() applies them to the main
+     *  tracker in (tick, partition, append-order) order. The result is
+     *  bit-identical to the serial run: per-record stamps are keyed by
+     *  (requester, line) and any two stamps of the same record are at
+     *  least one network hop (>= 2 ticks) apart when they originate on
+     *  different partitions, so that order reproduces the serial
      *  interleaving exactly for every record; the cross-record sums are
-     *  integer-valued doubles and accumulate in the same sorted order. */
+     *  integer-valued doubles and accumulate in the same order.
+     *
+     *  Replaying as windows retire keeps that order: a stamp is dated
+     *  at or after the window that made it (only the trap-delayed reply
+     *  and invalidation stamps, dated now + Ts, lie ahead of it), so no
+     *  window after t adds a stamp dated at or before t. Each
+     *  replayThrough(t) after window t therefore applies exactly the
+     *  next prefix of the whole run's sorted stream. */
     struct DeferredStamp
     {
         enum class Kind : std::uint8_t
@@ -165,13 +171,13 @@ class LatencyTracker
             replySent,
             complete,
         };
-        Tick now = 0;              ///< stamp tick (clock at call time)
-        Tick cycles = 0;           ///< trap only: cycles charged
-        NodeId node = invalidNode; ///< requester (or chip node)
-        NodeId chipNode = invalidNode; ///< parentForward only
+        Tick now = 0; ///< stamp tick (clock at call time)
         Addr line = 0;
+        /** trap: cycles charged; parentForward: the chip node; inject:
+         *  1 for a write. Zero for every other kind. */
+        std::uint64_t arg = 0;
+        NodeId node = invalidNode; ///< requester (or chip node)
         Kind kind = Kind::inject;
-        bool write = false; ///< inject only
     };
 
     /** Switch the tracker into record-only mode: every hook appends a
@@ -185,9 +191,27 @@ class LatencyTracker
         _deferClock = clock;
     }
 
-    /** Apply one recorded stamp as if the hook had been called live.
-     *  Only meaningful in direct mode (deferTo(nullptr, nullptr)). */
-    void replay(const DeferredStamp &s);
+    /** Apply every stamp in @p bufs (one buffer per partition, each in
+     *  append order) dated at or before @p through, in (tick,
+     *  partition, append-order) order; later stamps stay buffered in
+     *  append order. Applies in direct mode even while this tracker
+     *  defers, so the coordinator can flush its own partition's buffer
+     *  between windows with the workers parked. */
+    void replayThrough(Tick through,
+                       std::vector<std::vector<DeferredStamp>> &bufs);
+
+    /** What replayThrough has done since reset(). All three follow from
+     *  the simulated run alone (flushes fall on a fixed window stride),
+     *  so they are the same on every host. */
+    struct ReplayStats
+    {
+        std::uint64_t flushes = 0; ///< replayThrough calls
+        /** Stamps a flush left buffered (dated after it), summed over
+         *  flushes: trap-delayed stamps are the only ones that can be. */
+        std::uint64_t held = 0;
+        std::uint64_t peakBuffered = 0; ///< most stamps seen by one flush
+    };
+    const ReplayStats &replayStats() const { return _replayStats; }
 
     /** Per-sample observer, invoked at the end of every onComplete with
      *  the folded phase attribution. Survives reset(); pass nullptr to
@@ -207,6 +231,10 @@ class LatencyTracker
     std::uint64_t completed() const { return _completed; }
 
   private:
+    /** Apply one recorded stamp as if the hook had been called live.
+     *  Only meaningful in direct mode (deferTo(nullptr, nullptr)). */
+    void replay(const DeferredStamp &s);
+
     struct Open
     {
         Tick inject = 0;
@@ -247,6 +275,7 @@ class LatencyTracker
     std::function<void(const PhaseSample &)> _sink;
     std::vector<DeferredStamp> *_deferBuf = nullptr;
     const EventQueue *_deferClock = nullptr;
+    ReplayStats _replayStats;
 
     std::uint64_t _completed = 0;
     double _sumReqNet = 0.0;

@@ -12,6 +12,7 @@
 #ifndef LIMITLESS_PROTO_OPCODE_HH
 #define LIMITLESS_PROTO_OPCODE_HH
 
+#include <cstddef>
 #include <cstdint>
 
 namespace limitless
@@ -47,6 +48,10 @@ enum class Opcode : std::uint16_t
     IPI_LOCK_GRANT = 0x8002, ///< FIFO-lock handler grant (Section 6)
     IPI_BLOCK_XFER = 0x8003, ///< block transfer via store-back
 };
+
+/** Protocol opcodes are dense below this bound (WACK is the last). */
+constexpr std::size_t numProtocolOpcodes =
+    static_cast<std::size_t>(Opcode::WACK) + 1;
 
 /** True for interrupt-class opcodes (MSB set, handled in software). */
 constexpr bool

@@ -12,6 +12,7 @@
 #ifndef LIMITLESS_PROTO_STATES_HH
 #define LIMITLESS_PROTO_STATES_HH
 
+#include <cstddef>
 #include <cstdint>
 
 namespace limitless
@@ -28,6 +29,10 @@ enum class MemState : std::uint8_t
     evictTransaction, ///< limited-dir pointer eviction / chained unlink
 };
 
+/** Number of MemState values (evictTransaction is the last). */
+constexpr std::size_t numMemStates =
+    static_cast<std::size_t>(MemState::evictTransaction) + 1;
+
 const char *memStateName(MemState s);
 
 /** Cache-side line states (paper Table 1). */
@@ -37,6 +42,10 @@ enum class CacheState : std::uint8_t
     readOnly,  ///< may be read, not written
     readWrite, ///< may be read or written (exclusive, dirty)
 };
+
+/** Number of CacheState values (readWrite is the last). */
+constexpr std::size_t numCacheStates =
+    static_cast<std::size_t>(CacheState::readWrite) + 1;
 
 const char *cacheStateName(CacheState s);
 

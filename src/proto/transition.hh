@@ -17,6 +17,9 @@
 #ifndef LIMITLESS_PROTO_TRANSITION_HH
 #define LIMITLESS_PROTO_TRANSITION_HH
 
+#include <bitset>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 
 #include "proto/opcode.hh"
@@ -56,6 +59,40 @@ struct Transition
     void (*action)(Ctx &);
     std::int16_t next;           ///< state index, or dynamicNextState
     std::uint16_t id;            ///< table-unique id (assigned by add())
+};
+
+/**
+ * The (state, opcode) pairs one controller has dispatched, one bit per
+ * pair over @p NumStates states and the protocol opcodes (no table
+ * declares an interrupt opcode). The coherence monitor cross-checks
+ * them against the declared table.
+ */
+template <std::size_t NumStates>
+class ObservedTransitions
+{
+  public:
+    void
+    note(std::uint8_t state, Opcode op)
+    {
+        const auto code = static_cast<std::size_t>(op);
+        assert(state < NumStates && code < numProtocolOpcodes);
+        _bits[state * numProtocolOpcodes + code] = true;
+    }
+
+    /** Call @p fn(state, opcode) once per noted pair, in (state,
+     *  opcode) order. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (std::size_t i = 0; i < _bits.size(); ++i)
+            if (_bits[i])
+                fn(static_cast<std::uint8_t>(i / numProtocolOpcodes),
+                   static_cast<Opcode>(i % numProtocolOpcodes));
+    }
+
+  private:
+    std::bitset<NumStates * numProtocolOpcodes> _bits;
 };
 
 } // namespace limitless

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -70,10 +71,12 @@ struct RunDigest
     unsigned partitions = 0;
     std::uint64_t blocked = 0;    ///< net.blocked (credit stalls)
     std::uint64_t xpartFlits = 0; ///< flits that crossed partitions
+    LatencyTracker::ReplayStats replay; ///< the latency stamp replay
 };
 
 RunDigest
-runOnce(const ParallelCase &pc, unsigned sim_threads)
+runOnce(const ParallelCase &pc, unsigned sim_threads,
+        unsigned ops_per_proc = 120)
 {
     MachineConfig cfg;
     cfg.numNodes = 16;
@@ -90,7 +93,7 @@ runOnce(const ParallelCase &pc, unsigned sim_threads)
     cfg.cache.cacheBytes = 16 * 16;
     cfg.metricsInterval = 400;
     RandomStressParams rp;
-    rp.opsPerProc = 120;
+    rp.opsPerProc = ops_per_proc;
     rp.counterLines = 6;
     rp.valueLines = 10;
     rp.seed = pc.seed * 7919 + 13;
@@ -118,6 +121,7 @@ runOnce(const ParallelCase &pc, unsigned sim_threads)
     RunDigest d;
     d.cycles = r.cycles;
     d.partitions = m.numPartitions();
+    d.replay = FlightRecorder::instance().latency().replayStats();
     // Host block (wall seconds) excluded: it is the one legitimately
     // thread-count-dependent output.
     std::ostringstream stats;
@@ -135,6 +139,23 @@ runOnce(const ParallelCase &pc, unsigned sim_threads)
     return d;
 }
 
+/** The parallel run @p par exported exactly what @p serial did. */
+void
+expectSameBehavior(const RunDigest &par, const RunDigest &serial,
+                   unsigned threads)
+{
+    // The clamp can only reduce the partition count to the number of
+    // partitionable units (clusters); 16 flat nodes / 4 chips always
+    // leave at least two, so the parallel kernel really ran.
+    EXPECT_GT(par.partitions, 1u) << "threads=" << threads;
+    EXPECT_EQ(par.cycles, serial.cycles) << "threads=" << threads;
+    EXPECT_EQ(par.stats, serial.stats) << "threads=" << threads;
+    EXPECT_EQ(par.telemetryCsv, serial.telemetryCsv)
+        << "threads=" << threads;
+    EXPECT_EQ(par.telemetryJson, serial.telemetryJson)
+        << "threads=" << threads;
+}
+
 class ParallelSimProperty : public testing::TestWithParam<ParallelCase>
 {
 };
@@ -145,19 +166,12 @@ TEST_P(ParallelSimProperty, ThreadCountNeverChangesBehavior)
     const RunDigest serial = runOnce(pc, 1);
     ASSERT_EQ(serial.partitions, 1u);
     ASSERT_GT(serial.cycles, 0u);
+    // The serial kernel applies latency stamps live, unbuffered.
+    EXPECT_EQ(serial.replay.flushes, 0u);
 
     for (unsigned threads : {2u, 3u, 4u}) {
         const RunDigest par = runOnce(pc, threads);
-        // The clamp can only reduce the partition count to the number of
-        // partitionable units (clusters); 16 flat nodes / 4 chips always
-        // leave at least two, so the parallel kernel really ran.
-        EXPECT_GT(par.partitions, 1u) << "threads=" << threads;
-        EXPECT_EQ(par.cycles, serial.cycles) << "threads=" << threads;
-        EXPECT_EQ(par.stats, serial.stats) << "threads=" << threads;
-        EXPECT_EQ(par.telemetryCsv, serial.telemetryCsv)
-            << "threads=" << threads;
-        EXPECT_EQ(par.telemetryJson, serial.telemetryJson)
-            << "threads=" << threads;
+        expectSameBehavior(par, serial, threads);
         if (pc.hotspot) {
             // The case only proves something if credit really ran out
             // on links the partitions share.
@@ -171,6 +185,51 @@ TEST_P(ParallelSimProperty, ThreadCountNeverChangesBehavior)
         EXPECT_NE(serial.telemetryCsv.find("net.peak_queue"),
                   std::string::npos);
     }
+}
+
+/** Parallel runs replay latency stamps as windows retire: every 64
+ *  windows, the coordinator applies the stamps dated up to the window
+ *  just run, and keeps the later ones. Only a trap-delayed stamp (a
+ *  reply or invalidation launch dated now + Ts) can be later. A
+ *  LimitLESS run with Ts > 0 and four times the property suite's
+ *  length flushes many times and holds such stamps across flushes, and
+ *  must still match serial at every thread count. */
+const ParallelCase streamedCase{protocols::limitlessStall(4, 50), 41,
+                                TopologyKind::torus};
+constexpr unsigned streamedOps = 480;
+
+TEST(StreamedStampReplay, MidRunFlushesMatchSerial)
+{
+    const RunDigest serial = runOnce(streamedCase, 1, streamedOps);
+    EXPECT_EQ(serial.replay.flushes, 0u);
+    for (unsigned threads : {2u, 3u, 4u}) {
+        const RunDigest par = runOnce(streamedCase, threads, streamedOps);
+        expectSameBehavior(par, serial, threads);
+        // Flushes before the one at run end, and stamps dated past a
+        // flush that a later one applied.
+        EXPECT_GT(par.replay.flushes, 1u) << "threads=" << threads;
+        EXPECT_GT(par.replay.held, 0u) << "threads=" << threads;
+    }
+}
+
+/** The stamp buffers hold one stride of windows, not the run: four
+ *  times the run length leaves the peak number of buffered stamps
+ *  within 10%. */
+TEST(StreamedStampReplay, PeakBufferIsFlatInRunLength)
+{
+    const RunDigest base = runOnce(streamedCase, 4, streamedOps);
+    const RunDigest longer = runOnce(streamedCase, 4, 4 * streamedOps);
+    ASSERT_GT(longer.replay.flushes, 3 * base.replay.flushes);
+    const double lo = static_cast<double>(
+        std::min(base.replay.peakBuffered, longer.replay.peakBuffered));
+    const double hi = static_cast<double>(
+        std::max(base.replay.peakBuffered, longer.replay.peakBuffered));
+    EXPECT_GT(lo, 0.0);
+    EXPECT_LE(hi, 1.1 * lo) << "peak buffered stamps: "
+                            << base.replay.peakBuffered << " at "
+                            << streamedOps << " ops/proc, "
+                            << longer.replay.peakBuffered << " at "
+                            << 4 * streamedOps;
 }
 
 /** Each window crosses exactly one barrier: with the profiler on, every

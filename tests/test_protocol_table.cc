@@ -8,7 +8,9 @@
  * undocumented one) fails the test before any simulation runs. Also
  * checks structural invariants every table must satisfy: a guarded row
  * group ends in an unconditional fallback, and all five schemes agree
- * on the shared hardware subset of the protocol.
+ * on the shared hardware subset of the protocol. Last, the controllers'
+ * observed-transition bitsets hold every declared pair and report
+ * exactly the pairs that fired.
  */
 
 #include <gtest/gtest.h>
@@ -17,9 +19,14 @@
 #include <map>
 #include <set>
 #include <utility>
+#include <vector>
 
+#include "harness/experiment.hh"
+#include "hier/chip_home.hh"
+#include "hier/chip_states.hh"
 #include "proto/protocol_table.hh"
 #include "proto/states.hh"
+#include "workload/random_stress.hh"
 
 namespace limitless
 {
@@ -260,6 +267,86 @@ TEST(ProtocolTableStructure, RegistryHoldsAllTenTables)
         for (TableSide side : {TableSide::home, TableSide::cache})
             EXPECT_NE(ProtocolTableRegistry::instance().find(kind, side),
                       nullptr);
+}
+
+// ------------------------------------------------- observed transitions
+
+TEST(ObservedTransitions, VisitsEachNotedPairOnceInOrder)
+{
+    const auto last = static_cast<std::uint8_t>(numChipStates - 1);
+    ObservedTransitions<numChipStates> seen;
+    seen.note(last, Opcode::WACK); // the highest bit
+    seen.note(3, Opcode::INV);
+    seen.note(0, Opcode::RREQ);
+    seen.note(3, Opcode::INV);
+    std::vector<Pair> got;
+    seen.forEach([&](std::uint8_t s, Opcode op) { got.push_back({s, op}); });
+    const std::vector<Pair> want = {
+        {0, Opcode::RREQ}, {3, Opcode::INV}, {last, Opcode::WACK}};
+    EXPECT_EQ(got, want);
+}
+
+/** The bitsets are sized from the state enums and the protocol opcode
+ *  bound; every pair a table declares (the only pairs that can fire)
+ *  must fit. */
+TEST(ObservedTransitions, EveryDeclaredPairFitsTheBitsets)
+{
+    registerAllProtocolTables();
+    const std::map<TableSide, std::size_t> states = {
+        {TableSide::home, numMemStates},
+        {TableSide::cache, numCacheStates},
+        {TableSide::chip, numChipStates}};
+    for (const TableInfo *t : ProtocolTableRegistry::instance().tables())
+        for (const TransitionRow &row : t->rows) {
+            EXPECT_LT(row.state, states.at(t->side)) << t->scheme;
+            EXPECT_LT(static_cast<std::size_t>(row.opcode),
+                      numProtocolOpcodes)
+                << t->scheme << " " << opcodeName(row.opcode);
+        }
+}
+
+/** What the controllers report to the coherence monitor is exactly
+ *  what fired on them: per table side, the union over nodes equals the
+ *  pairs the dispatch observer saw, chip homes included. */
+TEST(ObservedTransitions, ControllersReportExactlyWhatFired)
+{
+    std::map<TableSide, PairSet> fired;
+    DispatchHooks::instance().setObserver(
+        [](void *user, const TableInfo &info, const TransitionRow &row) {
+            (*static_cast<std::map<TableSide, PairSet> *>(user))[info.side]
+                .insert({row.state, row.opcode});
+        },
+        &fired);
+    MachineConfig cfg;
+    cfg.numNodes = 16;
+    cfg.protocol = protocols::limitlessStall(4, 50);
+    cfg.topology.clusterSize = 4;
+    cfg.hier = true;
+    cfg.cache.cacheBytes = 16 * 16;
+    Machine m(cfg);
+    RandomStressParams rp;
+    rp.opsPerProc = 120;
+    rp.seed = 17;
+    RandomStress wl(rp);
+    wl.install(m);
+    const bool completed = m.run().completed;
+    DispatchHooks::instance().clearObserver();
+    ASSERT_TRUE(completed);
+
+    std::map<TableSide, PairSet> seen;
+    const auto into = [](PairSet &s) {
+        return [&s](std::uint8_t st, Opcode op) { s.insert({st, op}); };
+    };
+    for (unsigned i = 0; i < m.numNodes(); ++i) {
+        m.node(i).cache().forEachObservedTransition(
+            into(seen[TableSide::cache]));
+        m.node(i).mem().forEachObservedTransition(
+            into(seen[TableSide::home]));
+        if (const ChipHomeController *chip = m.node(i).chipHome())
+            chip->forEachObservedTransition(into(seen[TableSide::chip]));
+    }
+    ASSERT_EQ(fired.size(), 3u);
+    EXPECT_EQ(seen, fired);
 }
 
 } // namespace
