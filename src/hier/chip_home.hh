@@ -17,11 +17,13 @@
  * and the global LimitLESS software spill absorbs chip-sharer overflow
  * exactly as it absorbs cache-sharer overflow in flat mode.
  *
- * All protocol behavior lives in the per-scheme chip transition tables
- * of src/mem/home/hier_home.cc (TableSide::chip); process() is a single
- * table dispatch, mirroring the MemoryController. The chip copy is
- * sticky: the controller never evicts a chip-level copy on its own
- * (a deliberate idealization — the global directory reclaims chip
+ * The controller runs on the same home core as the global home
+ * (src/mem/home_core.hh): one service loop, send path, defer buffer and
+ * trap charge serve both levels. All protocol behavior lives in the
+ * per-scheme chip transition tables of src/mem/home/hier_home.cc
+ * (TableSide::chip); process() is a single table dispatch. The chip
+ * copy is sticky: the controller never evicts a chip-level copy on its
+ * own (a deliberate idealization — the global directory reclaims chip
  * pointers through its own eviction/invalidation machinery), so the
  * chip FSM needs no capacity-eviction path toward the parent.
  */
@@ -29,24 +31,10 @@
 #ifndef LIMITLESS_HIER_CHIP_HOME_HH
 #define LIMITLESS_HIER_CHIP_HOME_HH
 
-#include <deque>
-#include <functional>
 #include <iosfwd>
-#include <memory>
-#include <unordered_map>
-#include <vector>
 
-#include "directory/directory.hh"
-#include "directory/limitless_dir.hh"
 #include "hier/chip_states.hh"
-#include "kernel/software_dir.hh"
-#include "machine/address_map.hh"
-#include "mem/memory_controller.hh"
-#include "proto/packet.hh"
-#include "proto/protocol_params.hh"
-#include "proto/transition.hh"
-#include "sim/event_queue.hh"
-#include "stats/stats.hh"
+#include "mem/home_core.hh"
 
 namespace limitless
 {
@@ -57,7 +45,7 @@ struct HierPolicy;
 } // namespace home
 
 /** The chip home's per-line protocol state. */
-struct ChipLine
+struct ChipLine : DeferredRequests
 {
     ChipState state = ChipState::hInvalid;
     /** Chip data differs from global memory (granted locally without a
@@ -77,39 +65,15 @@ struct ChipLine
     NodeId evictVictim = invalidNode; ///< hChipET victim
     std::uint32_t retries = 0;        ///< BUSY backoff rounds (parent)
     LineWords data{};                 ///< the chip-level copy
-    std::vector<PacketPtr> deferred;  ///< parked local requests
 };
 
 /** The per-node chip-home controller (two-level mode only). */
-class ChipHomeController
+class ChipHomeController : public HomeCore
 {
   public:
-    using SendFn = std::function<void(PacketPtr)>;
-    using TrapStallFn = std::function<void(Tick)>;
-
     ChipHomeController(EventQueue &eq, NodeId self, const AddressMap &amap,
                        const ProtocolParams &proto,
                        const MemParams &params);
-
-    void setSend(SendFn fn) { _send = std::move(fn); }
-    void setTrapStall(TrapStallFn fn) { _trapStall = std::move(fn); }
-    void
-    setTelemetrySinks(Log2Histogram *worker_set,
-                      Log2Histogram *trap_service)
-    {
-        _wsProfile = worker_set;
-        _trapServiceHist = trap_service;
-    }
-
-    /** Protocol packet arriving from the chip's caches or the parent. */
-    void enqueue(PacketPtr pkt);
-
-    NodeId nodeId() const { return _self; }
-    const ProtocolParams &protocol() const { return _proto; }
-    StatSet &stats() { return _stats; }
-    bool idle() const { return _queue.empty() && !_serviceScheduled; }
-    std::size_t queueDepth() const { return _queue.size(); }
-    Tick now() const { return _eq.now(); }
 
     /**
      * Should a response-class packet (RDATA/WDATA/BUSY/INV/MUPD)
@@ -123,30 +87,19 @@ class ChipHomeController
      */
     bool wantsResponse(Addr line, Opcode op) const;
 
-    /** Fraction of local requests that took the chip software path. */
-    double overflowFraction() const;
-
     // ------------------------------------------------------------------
-    // Transition-action API (driven by the tables in hier_home.cc)
+    // Transition-action API (driven by the tables in hier_home.cc,
+    // together with the core's)
     // ------------------------------------------------------------------
 
-    ChipLine &
-    lineFor(Addr line)
-    {
-        if (line == _mruLineAddr)
-            return *_mruLine;
-        ChipLine &cl = _lines.try_emplace(line).first->second;
-        _mruLineAddr = line;
-        _mruLine = &cl;
-        return cl;
-    }
+    ChipLine &lineFor(Addr line) { return _lines[line]; }
 
     /** Grant a read copy to a local cache out of the chip data. */
     void grantRead(NodeId to, Addr line);
     /** Grant exclusive ownership to a local cache out of the chip data. */
     void grantWrite(NodeId to, Addr line);
-    /** Invalidate a local cache's copy (removes it from the chip dir). */
-    void sendInvLocal(NodeId to, Addr line);
+    /** Invalidate a local cache's copy (the core's invalidation send). */
+    void sendInvLocal(NodeId to, Addr line) { sendInv(to, line); }
     /** Forward the pending miss to the global home (RREQ/WREQ). */
     void forwardToParent(Addr line, bool write);
     /** Consume a parent data reply: stamp, copy the payload into the
@@ -163,22 +116,10 @@ class ChipHomeController
     /** Copy a data packet's payload into the chip data buffer. */
     void storeData(Addr line, const Packet &pkt);
 
-    void deferOrBusy(PacketPtr &pkt, ChipLine &cl);
-    void replayDeferred(ChipLine &cl);
-
-    /** Charge Ts emulation cycles for a chip-level software trap. */
-    void chargeTrap(Tick cycles, NodeId requester, Addr line);
-
     /** @name Statistics hooks for transition actions. */
     /// @{
-    void noteRead() { _statReads += 1; }
-    void noteWrite() { _statWrites += 1; }
-    void noteEviction() { _statEvictions += 1; }
-    void noteStaleAck() { _statStaleAcks += 1; }
     void noteParentInv() { _statParentInvs += 1; }
     void noteLocalGrant() { _statLocalGrants += 1; }
-    void noteReadTrapTaken() { _statReadTraps += 1; }
-    void noteWriteTrapTaken() { _statWriteTraps += 1; }
     void noteWorkerSet(std::size_t n) { _statWorkerSet.sample(n); }
     /// @}
 
@@ -186,45 +127,27 @@ class ChipHomeController
     // Monitor / checker access
     // ------------------------------------------------------------------
 
-    DirectoryScheme &directory() { return *_dir; }
-    const DirectoryScheme &directory() const { return *_dir; }
-    /** Non-null only for the LimitLESS protocol (chip meta-states). */
-    LimitlessDir *limitlessDir() { return _ldir; }
-    const LimitlessDir *limitlessDir() const { return _ldir; }
-    SoftwareDirTable &softwareTable() { return _swTable; }
-    const SoftwareDirTable &softwareTable() const { return _swTable; }
-
     ChipState
     lineState(Addr line) const
     {
-        if (line == _mruLineAddr)
-            return _mruLine->state;
-        auto it = _lines.find(line);
-        return it == _lines.end() ? ChipState::hInvalid
-                                  : it->second.state;
+        const ChipLine *cl = _lines.find(line);
+        return cl ? cl->state : ChipState::hInvalid;
     }
 
     bool
     lineDirty(Addr line) const
     {
-        auto it = _lines.find(line);
-        return it != _lines.end() && it->second.dirty;
+        const ChipLine *cl = _lines.find(line);
+        return cl && cl->dirty;
     }
 
     /** The chip-level copy's words (monitor value check). */
     const LineWords *
     lineData(Addr line) const
     {
-        auto it = _lines.find(line);
-        return it == _lines.end() ? nullptr : &it->second.data;
+        const ChipLine *cl = _lines.find(line);
+        return cl ? &cl->data : nullptr;
     }
-
-    /** Union of hardware-pointer and software-spilled local sharers. */
-    void chipSharers(Addr line, std::vector<NodeId> &out) const;
-
-    std::size_t workerSetSize(Addr line) const;
-
-    const AddressMap &addressMap() const { return _amap; }
 
     /** Deterministic protocol-state serialization (checker fingerprint;
      *  same exclusions as MemoryController::checkpoint). */
@@ -238,62 +161,28 @@ class ChipHomeController
             fn(line, cl.state);
     }
 
-    template <typename Fn>
-    void
-    forEachObservedTransition(Fn &&fn) const
-    {
-        _observed.forEach(fn);
-    }
-
   private:
-    void scheduleService();
-    void service();
-    void process(PacketPtr &pkt);
-    void dispatch(PacketPtr pkt);
+    void process(PacketPtr &pkt) override;
+    std::uint8_t
+    stateOf(Addr line) const override
+    {
+        return static_cast<std::uint8_t>(lineState(line));
+    }
+    NodeId pendingOf(Addr line) const override
+    {
+        const ChipLine *cl = _lines.find(line);
+        return cl ? cl->pending : invalidNode;
+    }
+    bool homes(Addr line) const override;
     NodeId parentOf(Addr line) const { return _amap.homeOf(line); }
 
-    EventQueue &_eq;
-    NodeId _self;
-    const AddressMap &_amap;
-    ProtocolParams _proto;
-    MemParams _params;
-    SendFn _send;
-    TrapStallFn _trapStall;
     const home::HierPolicy *_policy = nullptr;
+    LineMap<ChipLine> _lines;
 
-    std::unique_ptr<DirectoryScheme> _dir;
-    LimitlessDir *_ldir = nullptr; ///< alias into _dir
-    SoftwareDirTable _swTable;
-
-    std::unordered_map<Addr, ChipLine> _lines;
-    Addr _mruLineAddr = Addr(-1);
-    ChipLine *_mruLine = nullptr;
-    ObservedTransitions<numChipStates> _observed;
-
-    Log2Histogram *_wsProfile = nullptr;
-    Log2Histogram *_trapServiceHist = nullptr;
-
-    std::deque<PacketPtr> _queue;
-    bool _serviceScheduled = false;
-    Tick _busyUntil = 0;
-    Tick _extraDelay = 0;
-    std::uint64_t _curTxn = 0;
-
-    StatSet _stats{"chip"};
-    Counter &_statRequests;
-    Counter &_statReads;
-    Counter &_statWrites;
-    Counter &_statBusyNacks;
-    Counter &_statInvsSent;
     Counter &_statParentReqs;
     Counter &_statParentInvs;
     Counter &_statParentRetries;
     Counter &_statLocalGrants;
-    Counter &_statEvictions;
-    Counter &_statReadTraps;
-    Counter &_statWriteTraps;
-    Counter &_statTrapCycles;
-    Counter &_statStaleAcks;
     Distribution &_statWorkerSet;
 };
 

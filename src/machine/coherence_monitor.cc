@@ -273,7 +273,7 @@ CoherenceMonitor::collectQuiescentViolations() const
             if (!chip)
                 continue;
             std::vector<NodeId> local;
-            chip->chipSharers(line, local);
+            chip->sharers(line, local);
             if (std::find(local.begin(), local.end(), reader) ==
                 local.end())
                 addViolation(out, line,
@@ -303,7 +303,7 @@ CoherenceMonitor::collectQuiescentViolations() const
             if (const ChipHomeController *chip =
                     chipHomeFor(line, owner)) {
                 std::vector<NodeId> local;
-                chip->chipSharers(line, local);
+                chip->sharers(line, local);
                 if (std::find(local.begin(), local.end(), owner) ==
                     local.end())
                     addViolation(

@@ -275,7 +275,7 @@ chainedHomePolicy()
               stRO);
         t.add(stRW, Opcode::REPC, "rw_repc_ack", rwRepcAck, stRW);
 
-        addDeferRows(t, stRT, true);
+        addDeferRows(t, stRT);
         t.add(stRT, Opcode::UPDATE, "rt_update", rtChainUpdate, stRO);
         t.add(stRT, Opcode::REPM, "rt_crossed_data", rtCrossedData,
               stRT);
@@ -283,14 +283,14 @@ chainedHomePolicy()
               "data_seen", rtChainFinish, stRO);
         t.add(stRT, Opcode::ACKC, "stale_ack", staleAck, stRT);
 
-        addDeferRows(t, stWT, true);
+        addDeferRows(t, stWT);
         t.add(stWT, Opcode::UPDATE, "wt_update", wtChainUpdate, stRW);
         t.add(stWT, Opcode::REPM, "wt_crossed_data", wtCrossedData,
               stWT);
         t.add(stWT, Opcode::ACKC, "wt_walk_ack", wtWalkAck,
               dynamicNextState);
 
-        addDeferRows(t, stET, true);
+        addDeferRows(t, stET);
         t.add(stET, Opcode::ACKC, "et_walk_ack", etWalkAck,
               dynamicNextState);
         t.registerSelf();

@@ -97,7 +97,7 @@ std::vector<NodeId>
 localSharers(const ChipCtx &c)
 {
     std::vector<NodeId> out;
-    c.ch.chipSharers(c.line(), out);
+    c.ch.sharers(c.line(), out);
     return out;
 }
 

@@ -411,17 +411,32 @@ etComplete(HomeCtx &c)
 // Row-block builders
 // --------------------------------------------------------------------
 
-void
-addDeferRows(HomeTable &t, std::uint8_t state, bool chained)
+namespace
 {
-    // Transition 7: requests wait out the in-flight transaction.
+
+/** RUNC comes from private-only caches alone (remote reads uncached). */
+bool
+sendsRunc(const HomeTable &t)
+{
+    return t.info().kind == ProtocolKind::privateOnly;
+}
+
+} // namespace
+
+void
+addDeferRows(HomeTable &t, std::uint8_t state)
+{
+    // Transition 7: requests wait out the in-flight transaction. Only
+    // the opcodes the scheme's caches send get a row: REPC comes from
+    // chained caches alone, which send no WUPD.
     t.add(state, Opcode::RREQ, "defer", deferRequest, state);
     t.add(state, Opcode::WREQ, "defer", deferRequest, state);
-    t.add(state, Opcode::REPC, "defer", deferRequest, state);
-    if (!chained) {
+    if (t.info().kind == ProtocolKind::chained)
+        t.add(state, Opcode::REPC, "defer", deferRequest, state);
+    else
         t.add(state, Opcode::WUPD, "defer", deferRequest, state);
+    if (sendsRunc(t))
         t.add(state, Opcode::RUNC, "defer", deferRequest, state);
-    }
 }
 
 void
@@ -429,7 +444,8 @@ addRoCommonRows(HomeTable &t)
 {
     t.add(stRO, Opcode::WUPD, "ro_write_update", writeUpdate,
           dynamicNextState);
-    t.add(stRO, Opcode::RUNC, "ro_uncached_read", uncachedRead, stRO);
+    if (sendsRunc(t))
+        t.add(stRO, Opcode::RUNC, "ro_uncached_read", uncachedRead, stRO);
     t.add(stRO, Opcode::ACKC, "stale_ack", staleAck, stRO);
 }
 
@@ -439,8 +455,9 @@ addRwRows(HomeTable &t, void (*rreq_action)(HomeCtx &),
 {
     t.add(stRW, Opcode::RREQ, "rw_recall_read", rreq_action, stRT);
     t.add(stRW, Opcode::WREQ, "rw_recall_write", wreq_action, stWT);
-    t.add(stRW, Opcode::RUNC, "rw_uncached_recall", rwUncachedRecall,
-          stRT);
+    if (sendsRunc(t))
+        t.add(stRW, Opcode::RUNC, "rw_uncached_recall", rwUncachedRecall,
+              stRT);
     t.add(stRW, Opcode::WUPD, "rw_wupd_recall", rwWupdRecall, stWT);
     t.add(stRW, Opcode::REPM, "rw_owner_replace", rwOwnerReplace, stRO);
     t.add(stRW, Opcode::ACKC, "stale_ack", staleAck, stRW);
@@ -449,7 +466,7 @@ addRwRows(HomeTable &t, void (*rreq_action)(HomeCtx &),
 void
 addRtRows(HomeTable &t)
 {
-    addDeferRows(t, stRT, false);
+    addDeferRows(t, stRT);
     t.add(stRT, Opcode::UPDATE, "rt_update", rtUpdate, stRO);
     t.add(stRT, Opcode::REPM, "rt_crossed_data", rtCrossedData, stRT);
     t.add(stRT, Opcode::ACKC, "rt_finish", dataSeenGuard, "data_seen",
@@ -460,7 +477,7 @@ addRtRows(HomeTable &t)
 void
 addWtRows(HomeTable &t)
 {
-    addDeferRows(t, stWT, false);
+    addDeferRows(t, stWT);
     t.add(stWT, Opcode::UPDATE, "wt_update", wtUpdate, dynamicNextState);
     t.add(stWT, Opcode::ACKC, "wt_ack", wtAck, dynamicNextState);
     t.add(stWT, Opcode::REPM, "wt_crossed_data", wtCrossedData, stWT);
@@ -469,7 +486,7 @@ addWtRows(HomeTable &t)
 void
 addEtRows(HomeTable &t)
 {
-    addDeferRows(t, stET, false);
+    addDeferRows(t, stET);
     t.add(stET, Opcode::ACKC, "et_complete", etComplete, stRO);
 }
 

@@ -90,10 +90,16 @@ void startWriteTransaction(HomeCtx &c, NodeId requester,
                            const std::vector<NodeId> &to_inv);
 
 // Row-block builders -------------------------------------------------
+//
+// A builder declares rows only for opcodes the table's scheme can
+// receive (it reads the kind from the table): RUNC rows are
+// private-only, REPC defers chained-only. An opcode a scheme's caches
+// never send hits the engine's undeclared-transition panic instead of
+// a dead row.
 
-/** Transaction states park requests; chained lacks WUPD/RUNC traffic. */
-void addDeferRows(HomeTable &t, std::uint8_t state, bool chained);
-/** RO rows identical across the pointer schemes: WUPD, RUNC, ACKC. */
+/** Transaction states park the requests the scheme's caches send. */
+void addDeferRows(HomeTable &t, std::uint8_t state);
+/** RO rows shared by the pointer schemes: WUPD, ACKC (+ RUNC). */
 void addRoCommonRows(HomeTable &t);
 /** The full Read-Write block; RREQ/WREQ actions are parameters so the
  *  LimitLESS table can wrap them with Trap-Always profiling. */

@@ -4,16 +4,15 @@
  * FSM state, the acknowledgment counter, the pending requester and the
  * transaction-scoped scratch fields the per-scheme policy units
  * manipulate. One HomeLine per touched line, owned by the
- * MemoryController.
+ * MemoryController; its parked requests are the home core's.
  */
 
 #ifndef LIMITLESS_MEM_HOME_HOME_LINE_HH
 #define LIMITLESS_MEM_HOME_HOME_LINE_HH
 
 #include <cstdint>
-#include <vector>
 
-#include "proto/packet.hh"
+#include "mem/home_core.hh"
 #include "proto/states.hh"
 #include "sim/types.hh"
 
@@ -21,7 +20,7 @@ namespace limitless
 {
 
 /** The home side's per-line protocol state. */
-struct HomeLine
+struct HomeLine : DeferredRequests
 {
     MemState state = MemState::readOnly;
     std::uint32_t ackCtr = 0;
@@ -43,10 +42,6 @@ struct HomeLine
     /** Chained-walk bookkeeping. */
     NodeId walkTarget = invalidNode;
     NodeId repcRequester = invalidNode;
-    /** Requests parked during a transaction (see MemParams). A vector,
-     *  not a deque: it allocates on the first park, while a libstdc++
-     *  deque allocates 576 B when constructed, in every line record. */
-    std::vector<PacketPtr> deferred;
 };
 
 } // namespace limitless

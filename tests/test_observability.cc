@@ -368,17 +368,15 @@ TEST(StatsJson, MachineExportIsValidJson)
     EXPECT_NE(text.find("\"cycles\": 12345"), std::string::npos);
 }
 
-TEST(StatsJson, GoldenFourNodeWeather)
+/**
+ * Run Weather and compare its stats JSON with @p golden byte for byte.
+ * No RunResult is passed, so there is no host block and every byte is
+ * deterministic. LIMITLESS_UPDATE_GOLDEN=1 rewrites the file.
+ */
+void
+expectStatsGolden(const MachineConfig &cfg, const char *golden_name)
 {
-    // The run behind the telemetry and txn goldens: limitless-sim
-    // --workload weather --protocol limitless2 --nodes 4 --iterations 4
-    // --seed 7. No RunResult is passed, so there is no host block and
-    // every byte is deterministic.
     FlightRecorder::instance().resetRun();
-    MachineConfig cfg;
-    cfg.numNodes = 4;
-    cfg.seed = 7;
-    cfg.protocol = parseProtocol("limitless2");
     Machine m(cfg);
     const auto wl = makeWorkloadFactory("weather", 4, cfg.seed)();
     wl->install(m);
@@ -389,7 +387,7 @@ TEST(StatsJson, GoldenFourNodeWeather)
     std::ostringstream os;
     m.dumpStatsJson(os, run.cycles, nullptr);
     const std::string path =
-        std::string(LIMITLESS_GOLDEN_DIR) + "/stats_4node.json";
+        std::string(LIMITLESS_GOLDEN_DIR) + "/" + golden_name;
     if (std::getenv("LIMITLESS_UPDATE_GOLDEN")) {
         std::ofstream out(path);
         ASSERT_TRUE(out.good()) << path;
@@ -402,8 +400,33 @@ TEST(StatsJson, GoldenFourNodeWeather)
     std::ostringstream golden;
     golden << in.rdbuf();
     EXPECT_EQ(os.str(), golden.str())
-        << "stats JSON changed; bump the schema per docs/OBSERVABILITY.md "
-           "§6 and regenerate the golden if intended";
+        << golden_name
+        << ": stats JSON changed; bump the schema per "
+           "docs/OBSERVABILITY.md §6 and regenerate the golden if "
+           "intended";
+}
+
+TEST(StatsJson, GoldenFourNodeWeather)
+{
+    // The run behind the telemetry and txn goldens: limitless-sim
+    // --workload weather --protocol limitless2 --nodes 4 --iterations 4
+    // --seed 7.
+    MachineConfig flat;
+    flat.numNodes = 4;
+    flat.seed = 7;
+    flat.protocol = parseProtocol("limitless2");
+    expectStatsGolden(flat, "stats_4node.json");
+
+    // The same workload on two chips, which pins the two-level keys
+    // (the chip stat set, topology.hier, the chip_home / global_home /
+    // inter_chip_inv phases): --nodes 8 --topology torus --cluster 4
+    // --hier.
+    MachineConfig hier = flat;
+    hier.numNodes = 8;
+    hier.topology.kind = TopologyKind::torus;
+    hier.topology.clusterSize = 4;
+    hier.hier = true;
+    expectStatsGolden(hier, "stats_hier_8node.json");
 }
 
 // -------------------------------------------------- Welford variance

@@ -61,6 +61,15 @@ caseName(const testing::TestParamInfo<ParallelCase> &info)
     return s;
 }
 
+// Without a PrintTo gtest prints the raw bytes of the case, struct
+// padding included, into every ctest name, and padding differs from
+// build to build. Print the case name instead.
+void
+PrintTo(const ParallelCase &c, std::ostream *os)
+{
+    *os << caseName(testing::TestParamInfo<ParallelCase>(c, 0));
+}
+
 /** Everything a run exports that must not depend on the thread count. */
 struct RunDigest
 {

@@ -18,6 +18,27 @@
 
 namespace limitless
 {
+
+/** The DeterminismProperty case name: the protocol's name. */
+std::string
+protocolName(const testing::TestParamInfo<ProtocolParams> &info)
+{
+    std::string s = info.param.name();
+    for (char &c : s)
+        if (!isalnum(static_cast<unsigned char>(c)))
+            c = '_';
+    return s;
+}
+
+// Without a PrintTo gtest prints the raw bytes of the parameter into
+// every ctest name. ProtocolParams lives in this namespace, so its
+// PrintTo must too, where argument-dependent lookup finds it.
+void
+PrintTo(const ProtocolParams &p, std::ostream *os)
+{
+    *os << protocolName(testing::TestParamInfo<ProtocolParams>(p, 0));
+}
+
 namespace
 {
 
@@ -166,13 +187,7 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Values(protocols::fullMap(), protocols::dirNB(2),
                     protocols::limitlessStall(4, 50),
                     protocols::limitlessEmulated(4), protocols::chained()),
-    [](const testing::TestParamInfo<ProtocolParams> &info) {
-        std::string s = info.param.name();
-        for (char &c : s)
-            if (!isalnum(static_cast<unsigned char>(c)))
-                c = '_';
-        return s;
-    });
+    protocolName);
 
 // ------------------------------------- Hier degenerate-shape equivalence
 

@@ -75,25 +75,28 @@ declaredPairs(const TableInfo &t)
 
 /** Expected home-side pairs for the four pointer-directory schemes
  *  (full-map, limited, limitless, private); @p evict adds the limited /
- *  limitless pointer-eviction state. */
+ *  limitless pointer-eviction state, @p uncached the RUNC rows only
+ *  private-only caches need. */
 PairSet
-pointerHomePairs(bool evict)
+pointerHomePairs(bool evict, bool uncached)
 {
     PairSet s;
     for (Opcode op : {Opcode::RREQ, Opcode::WREQ, Opcode::WUPD,
-                      Opcode::RUNC, Opcode::ACKC})
+                      Opcode::ACKC})
         s.insert({hRO, op});
     for (Opcode op : {Opcode::RREQ, Opcode::WREQ, Opcode::WUPD,
-                      Opcode::RUNC, Opcode::REPM, Opcode::ACKC})
+                      Opcode::REPM, Opcode::ACKC})
         s.insert({hRW, op});
     for (std::uint8_t st : {hRT, hWT})
-        for (Opcode op : {Opcode::RREQ, Opcode::WREQ, Opcode::REPC,
-                          Opcode::WUPD, Opcode::RUNC, Opcode::UPDATE,
-                          Opcode::REPM, Opcode::ACKC})
+        for (Opcode op : {Opcode::RREQ, Opcode::WREQ, Opcode::WUPD,
+                          Opcode::UPDATE, Opcode::REPM, Opcode::ACKC})
             s.insert({st, op});
+    if (uncached)
+        for (std::uint8_t st : {hRO, hRW, hRT, hWT})
+            s.insert({st, Opcode::RUNC});
     if (evict)
-        for (Opcode op : {Opcode::RREQ, Opcode::WREQ, Opcode::REPC,
-                          Opcode::WUPD, Opcode::RUNC, Opcode::ACKC})
+        for (Opcode op : {Opcode::RREQ, Opcode::WREQ, Opcode::WUPD,
+                          Opcode::ACKC})
             s.insert({hET, op});
     return s;
 }
@@ -146,28 +149,28 @@ TEST(ProtocolTableExhaustive, FullMapHome)
 {
     EXPECT_EQ(declaredPairs(table(ProtocolKind::fullMap,
                                   TableSide::home)),
-              pointerHomePairs(false));
+              pointerHomePairs(false, false));
 }
 
 TEST(ProtocolTableExhaustive, PrivateHome)
 {
     EXPECT_EQ(declaredPairs(table(ProtocolKind::privateOnly,
                                   TableSide::home)),
-              pointerHomePairs(false));
+              pointerHomePairs(false, true));
 }
 
 TEST(ProtocolTableExhaustive, LimitedHome)
 {
     EXPECT_EQ(declaredPairs(table(ProtocolKind::limited,
                                   TableSide::home)),
-              pointerHomePairs(true));
+              pointerHomePairs(true, false));
 }
 
 TEST(ProtocolTableExhaustive, LimitlessHome)
 {
     EXPECT_EQ(declaredPairs(table(ProtocolKind::limitless,
                                   TableSide::home)),
-              pointerHomePairs(true));
+              pointerHomePairs(true, false));
 }
 
 TEST(ProtocolTableExhaustive, ChainedHome)

@@ -203,11 +203,12 @@ TEST(TrapWindowRace, RequestDuringWriteGatherIsNotGrantedData)
                 w->network().forEachChannel(
                     [&](NodeId src, NodeId dest, const Packet &head,
                         std::size_t) {
-                        if (src == home && dest == requester)
+                        if (src == home && dest == requester) {
                             EXPECT_TRUE(head.opcode != Opcode::RDATA &&
                                         head.opcode != Opcode::WDATA)
                                 << describePacket(head)
                                 << " granted inside the gather window";
+                        }
                     });
                 ++windows;
                 break;

@@ -152,9 +152,19 @@ TEST(WupdFsm, DirtyLineIsRecalledThenApplied)
 
 // ------------------------------------------------------------- RUNC
 
+/** RUNC comes from private-only caches alone, so only the private-only
+ *  home table declares it. */
+ProtocolParams
+privateOnly()
+{
+    ProtocolParams p;
+    p.kind = ProtocolKind::privateOnly;
+    return p;
+}
+
 TEST(RuncFsm, ReadsWithoutRecordingAPointer)
 {
-    Harness h;
+    Harness h(privateOnly());
     h.inject(makeProtocolPacket(2, 0, Opcode::RUNC, h.line()));
     ASSERT_EQ(h.count(Opcode::RDATA, 2), 1u);
     EXPECT_EQ(h.mc.directory().numSharers(h.line()), 0u);
@@ -162,7 +172,7 @@ TEST(RuncFsm, ReadsWithoutRecordingAPointer)
 
 TEST(RuncFsm, DirtyLineIsRecalledForTheUncachedReader)
 {
-    Harness h;
+    Harness h(privateOnly());
     h.inject(makeProtocolPacket(1, 0, Opcode::WREQ, h.line()));
     h.sent.clear();
     h.inject(makeProtocolPacket(2, 0, Opcode::RUNC, h.line()));
@@ -178,7 +188,7 @@ TEST(RuncFsm, DirtyLineIsRecalledForTheUncachedReader)
 
 TEST(RuncFsm, DeferredDuringTransactions)
 {
-    Harness h;
+    Harness h(privateOnly());
     h.inject(makeProtocolPacket(1, 0, Opcode::RREQ, h.line()));
     h.inject(makeProtocolPacket(3, 0, Opcode::WREQ, h.line()));
     ASSERT_EQ(h.mc.lineState(h.line()), MemState::writeTransaction);
