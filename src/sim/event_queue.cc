@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <utility>
 
 #include "obs/host_profiler.hh"
+#include "sim/log.hh"
 
 namespace limitless
 {
@@ -12,63 +14,70 @@ namespace limitless
 EventQueue::EventQueue() : _slots(wheelSpan)
 {
     // Pre-size the overflow heap so steady-state scheduling never grows
-    // it. A drained bucket hands its vector to the spare list and an
-    // empty slot takes one back, so retained capacity follows the
-    // buckets live at once rather than every slot's busiest tick, and
-    // after warm-up a schedule() is still a plain store into an
-    // existing vector.
+    // it. A drained lane hands its vector to the spare list and an
+    // empty lane takes one back, so retained capacity follows the lanes
+    // live at once rather than every slot's busiest tick, and after
+    // warm-up a schedule() is still a plain store into an existing
+    // vector.
     _overflow.reserve(1024);
+}
+
+unsigned
+EventQueue::laneOf(int priority)
+{
+    // EventPriority values are multiples of ten; index by the tens digit
+    // so mapping a priority costs no branch per value.
+    constexpr int byTens[] = {0, 1, 2, 3, -1, -1, -1, -1, -1, 4};
+    const auto tens = static_cast<unsigned>(priority) / 10;
+    const bool valid = priority % 10 == 0 && tens < std::size(byTens) &&
+                       byTens[tens] >= 0;
+    if (!valid) [[unlikely]]
+        panic("EventQueue: priority %d is not an EventPriority value",
+              priority);
+    return static_cast<unsigned>(byTens[tens]);
 }
 
 void
 EventQueue::schedule(Tick when, Callback cb, int priority)
 {
     assert(when >= _now && "cannot schedule into the past");
-    Entry e(when, static_cast<std::uint32_t>(priority), _seq++,
-            std::move(cb));
-    if (when == _now && _sortedTick == _now) {
-        // The current tick's bucket is mid-execution and sorted; insert
-        // the new entry's index in order past the cursor so the walk
-        // stays the global minimum. The entry itself just appends.
-        std::vector<Entry> &slot = _slots[when & wheelMask];
-        const auto pos = std::lower_bound(
-            _order.begin() + static_cast<std::ptrdiff_t>(_cursor),
-            _order.end(), e,
-            [&slot](std::uint32_t idx, const Entry &b) {
-                return slot[idx].before(b);
-            });
-        _order.insert(pos, static_cast<std::uint32_t>(slot.size()));
-        slot.push_back(std::move(e));
-    } else if (when - _now < wheelSpan)
-        wheelInsert(std::move(e));
-    else {
-        _overflow.push_back(std::move(e));
+    const unsigned lane = laneOf(priority);
+    if (when - _now < wheelSpan) {
+        wheelInsert(when, lane, std::move(cb));
+        // A same-tick event below the lane being walked runs next.
+        if (when == _walkTick && lane < _lane)
+            _lane = lane;
+    } else {
+        _overflow.push_back({when, lane, _seq++, std::move(cb)});
         std::push_heap(_overflow.begin(), _overflow.end(), OverflowLater{});
     }
     ++_size;
 }
 
 void
-EventQueue::wheelInsert(Entry &&e)
+EventQueue::wheelInsert(Tick when, unsigned lane, Callback &&cb)
 {
-    const std::size_t slot = e.when & wheelMask;
-    std::vector<Entry> &bucket = _slots[slot];
-    if (bucket.capacity() == 0 && !_spare.empty()) {
-        bucket = std::move(_spare.back());
+    const std::size_t slot = when & wheelMask;
+    Lane &l = _slots[slot][lane];
+    if (l.capacity() == 0 && !_spare.empty()) {
+        l = std::move(_spare.back());
         _spare.pop_back();
     }
-    bucket.push_back(std::move(e));
+    l.push_back(std::move(cb));
     _occupied[slot / 64] |= std::uint64_t{1} << (slot % 64);
 }
 
 void
 EventQueue::migrateOverflow()
 {
+    // The heap pops in (when, lane, seq) order, so entries sharing a lane
+    // append in seq order, and none of that lane's entries can be in the
+    // wheel yet: any schedule for the tick so far went to the heap too.
     while (!_overflow.empty() && _overflow.front().when - _now < wheelSpan) {
         std::pop_heap(_overflow.begin(), _overflow.end(), OverflowLater{});
-        Entry e = std::move(_overflow.back());
+        OverflowEntry &e = _overflow.back();
+        wheelInsert(e.when, e.lane, std::move(e.cb));
         _overflow.pop_back();
-        wheelInsert(std::move(e));
     }
 }
 
@@ -105,10 +114,11 @@ std::size_t
 EventQueue::reservedEntries() const
 {
     std::size_t n = 0;
-    for (const std::vector<Entry> &bucket : _slots)
-        n += bucket.capacity();
-    for (const std::vector<Entry> &bucket : _spare)
-        n += bucket.capacity();
+    for (const Slot &slot : _slots)
+        for (const Lane &lane : slot)
+            n += lane.capacity();
+    for (const Lane &lane : _spare)
+        n += lane.capacity();
     return n;
 }
 
@@ -127,42 +137,60 @@ EventQueue::nextEventTick() const
 void
 EventQueue::enterTick()
 {
-    // Enter the next occupied tick: advance _now, migrate overflow
-    // entries the window now covers, and sort the tick's bucket once
-    // so the cursor walk pops minima in O(1).
+    // Enter the next occupied tick: advance _now, migrate the overflow
+    // entries the window now covers, and point the walk at the slot's
+    // first non-empty lane.
     const Tick t = nextEventTick();
     assert(t != maxTick && t >= _now);
     _now = t;
     migrateOverflow();
+    _walkTick = t;
+    const Slot &slot = _slots[t & wheelMask];
+    _lane = 0;
+    while (slot[_lane].empty())
+        ++_lane;
+}
 
-    std::vector<Entry> &entered = _slots[t & wheelMask];
-    assert(!entered.empty());
-    // Sort indices, not entries: moving 4-byte indices is far
-    // cheaper than shuffling Entry objects (each move invokes the
-    // InlineFunction manager), and the entries stay put so indices
-    // stay valid across the bucket's push_backs.
-    _order.resize(entered.size());
-    for (std::uint32_t i = 0; i < _order.size(); ++i)
-        _order[i] = i;
-    std::sort(_order.begin(), _order.end(),
-              [&entered](std::uint32_t a, std::uint32_t b) {
-                  return entered[a].before(entered[b]);
-              });
-    _sortedTick = t;
-    _cursor = 0;
+bool
+EventQueue::walkTick(Tick t)
+{
+    if (_walkTick == t)
+        return true;
+    if (_size == 0 || nextEventTick() != t)
+        return false;
+    enterTick();
+    return true;
 }
 
 void
-EventQueue::finishBucket()
+EventQueue::runNext()
 {
-    std::vector<Entry> &slot = _slots[_now & wheelMask];
-    slot.clear();
-    _spare.push_back(std::move(slot));
-    _order.clear();
-    _cursor = 0;
-    _sortedTick = maxTick;
-    const std::size_t s = _now & wheelMask;
-    _occupied[s / 64] &= ~(std::uint64_t{1} << (s % 64));
+    Slot &slot = _slots[_walkTick & wheelMask];
+    // Move the callback out before running it: its own schedule() may
+    // append to this lane and reallocate it.
+    Callback cb = std::move(slot[_lane][_head[_lane]++]);
+    --_size;
+    ++_executed;
+    cb();
+    // The callback may have appended to any lane of this tick, and
+    // lowered _lane to the one it appended to. Lanes below _lane are
+    // drained, so the walk only ever moves up from it. A drained lane
+    // hands its vector to the spare list at once, so the next lane to
+    // fill can reuse it even within this tick.
+    while (_head[_lane] == slot[_lane].size()) {
+        Lane &drained = slot[_lane];
+        if (drained.capacity() != 0) {
+            drained.clear();
+            _spare.push_back(std::move(drained));
+        }
+        _head[_lane] = 0;
+        if (++_lane == numLanes) {
+            const std::size_t s = _walkTick & wheelMask;
+            _occupied[s / 64] &= ~(std::uint64_t{1} << (s % 64));
+            _walkTick = maxTick;
+            return;
+        }
+    }
 }
 
 bool
@@ -170,22 +198,9 @@ EventQueue::runOne()
 {
     if (_size == 0)
         return false;
-
-    if (_sortedTick != _now)
+    if (_walkTick == maxTick)
         enterTick();
-
-    std::vector<Entry> &slot = _slots[_now & wheelMask];
-    assert(_cursor < _order.size());
-    Callback cb = std::move(slot[_order[_cursor]].cb);
-    ++_cursor;
-    --_size;
-    ++_executed;
-    cb();
-
-    // Entries behind the cursor are spent; once the callback has had its
-    // chance to add same-tick work, a fully-walked bucket resets.
-    if (_cursor >= _order.size())
-        finishBucket();
+    runNext();
     return true;
 }
 
@@ -194,23 +209,10 @@ EventQueue::runBurst(std::uint64_t max)
 {
     PROF_SCOPE("eq.burst");
     std::uint64_t n = 0;
-    while (n < max && _size != 0) {
-        if (_sortedTick != _now)
+    for (; n < max && _size != 0; ++n) {
+        if (_walkTick == maxTick)
             enterTick();
-        // Dispatch the whole bucket through one tight loop. The slot and
-        // order vectors must be re-indexed every iteration: a callback's
-        // same-tick schedule() push_back can reallocate either one.
-        while (n < max && _cursor < _order.size()) {
-            Callback cb =
-                std::move(_slots[_now & wheelMask][_order[_cursor]].cb);
-            ++_cursor;
-            --_size;
-            ++_executed;
-            ++n;
-            cb();
-        }
-        if (_cursor >= _order.size())
-            finishBucket();
+        runNext();
     }
     return n;
 }
@@ -219,34 +221,24 @@ void
 EventQueue::advanceTo(Tick t)
 {
     assert(t >= _now && "cannot advance into the past");
-    assert(_sortedTick == maxTick && "advanceTo with a bucket mid-walk");
+    assert(_walkTick == maxTick && "advanceTo with a tick mid-walk");
     assert(nextEventTick() >= t && "advanceTo would skip pending events");
     // Every wheel entry was inserted with when - now < span at a now no
     // later than t, and none is earlier than t, so all occupied slots
     // stay inside the new [t, t + span) window: no rehash needed.
     _now = t;
+    migrateOverflow();
 }
 
 std::uint64_t
 EventQueue::runTickBelow(Tick t, int prioLimit)
 {
-    const auto limit = static_cast<std::uint32_t>(prioLimit);
+    const unsigned limit = laneOf(prioLimit);
     std::uint64_t n = 0;
-    while (_size != 0 && nextEventTick() == t) {
-        if (_sortedTick != t)
-            enterTick();
-        std::vector<Entry> &slot = _slots[t & wheelMask];
-        if (slot[_order[_cursor]].priority >= limit)
-            break; // bucket stays mid-walk for runTickRemainder()
-        Callback cb = std::move(slot[_order[_cursor]].cb);
-        ++_cursor;
-        --_size;
-        ++_executed;
-        ++n;
-        cb();
-        if (_cursor >= _order.size())
-            finishBucket();
-    }
+    // Stopping below the limit leaves the tick mid-walk for
+    // runTickRemainder().
+    for (; walkTick(t) && _lane < limit; ++n)
+        runNext();
     return n;
 }
 
@@ -254,19 +246,8 @@ std::uint64_t
 EventQueue::runTickRemainder(Tick t)
 {
     std::uint64_t n = 0;
-    while (_size != 0 && nextEventTick() == t) {
-        if (_sortedTick != t)
-            enterTick();
-        std::vector<Entry> &slot = _slots[t & wheelMask];
-        Callback cb = std::move(slot[_order[_cursor]].cb);
-        ++_cursor;
-        --_size;
-        ++_executed;
-        ++n;
-        cb();
-        if (_cursor >= _order.size())
-            finishBucket();
-    }
+    for (; walkTick(t); ++n)
+        runNext();
     return n;
 }
 
@@ -278,8 +259,10 @@ EventQueue::runUntil(Tick limit)
         runOne();
         ++n;
     }
-    if (_now < limit)
+    if (_now < limit) {
         _now = limit;
+        migrateOverflow();
+    }
     return n;
 }
 

@@ -9,10 +9,13 @@
  * Internally the queue is a single-level timing wheel over the near
  * horizon (the next `wheelSpan` ticks, which covers network hops,
  * controller latencies and trap costs — the overwhelming majority of
- * schedules) with a binary-heap overflow for far-future events. Both
- * structures order entries by the same (tick, priority, seq) key, so the
- * execution order is bit-identical to a plain priority queue; a property
- * test (tests/test_event_queue.cc) cross-checks this against a reference
+ * schedules) with a binary-heap overflow for far-future events. Each
+ * wheel slot holds one FIFO lane per EventPriority value, so a schedule
+ * is an append and a tick runs its lanes in priority order with no sort:
+ * arrival order within a (tick, priority) lane already is insertion
+ * order. The execution order is bit-identical to a plain (tick,
+ * priority, seq) priority queue; a property test
+ * (tests/test_event_queue.cc) cross-checks this against a reference
  * heap scheduler on randomized workloads. Callbacks are stored in an
  * InlineFunction so scheduling an event never touches the allocator for
  * captures up to 48 bytes.
@@ -21,8 +24,10 @@
 #ifndef LIMITLESS_SIM_EVENT_QUEUE_HH
 #define LIMITLESS_SIM_EVENT_QUEUE_HH
 
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "sim/inline_function.hh"
@@ -31,7 +36,8 @@
 namespace limitless
 {
 
-/** Scheduling priorities for same-tick events (lower runs first). */
+/** Scheduling priorities for same-tick events (lower runs first). These
+ *  five are the only values the queue accepts: each has its own lane. */
 namespace EventPriority
 {
     inline constexpr int network = 0;   ///< move flits before consumers
@@ -61,7 +67,8 @@ class EventQueue
      *
      * @param when absolute tick; must be >= now()
      * @param cb   callback to run
-     * @param priority same-tick ordering (EventPriority)
+     * @param priority same-tick ordering: an EventPriority value (any
+     *                 other value panics)
      */
     void schedule(Tick when, Callback cb, int priority = EventPriority::ctrl);
 
@@ -87,31 +94,30 @@ class EventQueue
     std::uint64_t run();
 
     /**
-     * Execute up to @p max earliest events through one batched loop.
-     * Identical (tick, priority, seq) execution order to @p max calls of
-     * runOne(), but the tick-entry work (advance, overflow migration,
-     * bucket sort) is hoisted out of the per-event path: a whole wheel
-     * slot's entries dispatch through one tight indirect-call loop.
+     * Execute up to @p max earliest events, in the same (tick, priority,
+     * seq) order as @p max calls of runOne(), inside one `eq.burst`
+     * profiler scope rather than one per event.
      *
      * @return number of events executed (< max only when drained)
      */
     std::uint64_t runBurst(std::uint64_t max);
 
     /**
-     * Advance now() to @p t without executing anything. Requires that no
-     * event is pending before @p t and no tick bucket is mid-execution.
-     * Used by the parallel kernel to align partition queues on a window
-     * boundary chosen globally (the queue's own nextEventTick() may be
-     * later than the window start).
+     * Advance now() to @p t without executing anything, migrating the
+     * overflow entries the window now covers. Requires that no event is
+     * pending before @p t and no tick is mid-walk. Used by the parallel
+     * kernel to align partition queues on a window boundary chosen
+     * globally (the queue's own nextEventTick() may be later than the
+     * window start).
      */
     void advanceTo(Tick t);
 
     /**
      * Execute events at exactly tick @p t whose priority is below
-     * @p prioLimit, stopping (bucket mid-walk) at the first event at or
-     * above the limit. Events a callback schedules for the same tick are
-     * honoured, exactly as in runOne(). No-op when the earliest pending
-     * event is not at @p t.
+     * @p prioLimit (an EventPriority value), stopping (tick mid-walk) at
+     * the first event at or above the limit. Events a callback schedules
+     * for the same tick are honoured, exactly as in runOne(). No-op when
+     * the earliest pending event is not at @p t.
      *
      * Parallel kernel: each partition runs its tick-@p t events below
      * EventPriority::stats concurrently, then the coordinator finishes
@@ -134,7 +140,7 @@ class EventQueue
     Tick nextEventTick() const;
 
     /** Entries the wheel can hold without allocating: the capacity of
-     *  every bucket plus the spare list (host-memory tests). */
+     *  every lane plus the spare list (host-memory tests). */
     std::size_t reservedEntries() const;
 
   private:
@@ -145,79 +151,79 @@ class EventQueue
     static constexpr Tick wheelSpan = Tick{1} << wheelBits;
     static constexpr Tick wheelMask = wheelSpan - 1;
 
-    struct Entry
+    /**
+     * One FIFO lane per EventPriority value, in priority order. A lane
+     * needs no per-entry key: events of one (tick, priority) run in the
+     * order they were scheduled, and appending keeps that order. It
+     * holds only while no overflow entry is inside the window, since one
+     * that migrated late would land behind later schedules for its tick;
+     * so every path that moves now() (enterTick, advanceTo, runUntil)
+     * migrates the overflow heap at once.
+     */
+    static constexpr unsigned numLanes = 5;
+    using Lane = std::vector<Callback>;
+    using Slot = std::array<Lane, numLanes>;
+
+    /** Lane of an EventPriority value; panics on any other priority. */
+    static unsigned laneOf(int priority);
+
+    /** An event beyond the window. The overflow heap is the only place
+     *  that keeps a (when, lane, seq) key per entry. */
+    struct OverflowEntry
     {
         Tick when;
-        std::uint32_t priority;
+        std::uint32_t lane;
         std::uint64_t seq;
         Callback cb;
-
-        // Entries are moved, never copied: deleting the copy operations
-        // proves no container churn silently duplicates a callback.
-        Entry(Tick w, std::uint32_t p, std::uint64_t s, Callback c)
-            : when(w), priority(p), seq(s), cb(std::move(c))
-        {}
-        Entry(Entry &&) noexcept = default;
-        Entry &operator=(Entry &&) noexcept = default;
-        Entry(const Entry &) = delete;
-        Entry &operator=(const Entry &) = delete;
-
-        /** Strict-weak order: earlier (when, priority, seq) first. */
-        bool
-        before(const Entry &o) const
-        {
-            if (when != o.when)
-                return when < o.when;
-            if (priority != o.priority)
-                return priority < o.priority;
-            return seq < o.seq;
-        }
     };
 
     /** Min-heap comparator for the overflow vector (std::push_heap is a
      *  max-heap, so invert). */
     struct OverflowLater
     {
-        bool operator()(const Entry &a, const Entry &b) const
+        bool
+        operator()(const OverflowEntry &a, const OverflowEntry &b) const
         {
-            return b.before(a);
+            return std::tie(b.when, b.lane, b.seq) <
+                   std::tie(a.when, a.lane, a.seq);
         }
     };
 
-    void wheelInsert(Entry &&e);
+    void wheelInsert(Tick when, unsigned lane, Callback &&cb);
     /** Move overflow entries inside the window [_now, _now + span). */
     void migrateOverflow();
-    /** Advance to the earliest occupied tick and sort its bucket. */
+    /** Advance to the earliest occupied tick and start walking it. */
     void enterTick();
-    /** Reset a fully-walked bucket (slot, order, occupancy bit) and
-     *  move its vector onto the spare list. */
-    void finishBucket();
+    /** Make tick @p t the walked one if it holds the earliest pending
+     *  event. @return whether tick @p t is mid-walk. */
+    bool walkTick(Tick t);
+    /** Pop and run the walked tick's next event, then recycle drained
+     *  lanes, ending the walk when none is left. */
+    void runNext();
     /** Earliest occupied wheel tick, or maxTick when the wheel is empty. */
     Tick wheelNextTick() const;
 
-    std::vector<std::vector<Entry>> _slots; ///< one bucket per wheel slot
-    /** Drained buckets' vectors, handed to the next slot that fills. */
-    std::vector<std::vector<Entry>> _spare;
+    std::vector<Slot> _slots;               ///< one slot per wheel tick
+    /** Drained lanes' vectors, handed to the next lane that fills. */
+    std::vector<Lane> _spare;
     std::uint64_t _occupied[wheelSpan / 64] = {}; ///< slot bitmap
-    std::vector<Entry> _overflow;           ///< min-heap beyond the window
+    std::vector<OverflowEntry> _overflow;   ///< min-heap beyond the window
     std::size_t _size = 0;                  ///< wheel + overflow entries
     Tick _now = 0;
-    std::uint64_t _seq = 0;
+    std::uint64_t _seq = 0;                 ///< next overflow entry's seq
     std::uint64_t _executed = 0;
 
     /**
-     * Execution state of the current tick's bucket. On entering a tick
-     * the bucket is sorted once and `_cursor` walks it, so popping the
-     * minimum is O(1) instead of a per-event scan; same-tick schedules
-     * insert in order past the cursor. `_sortedTick == maxTick` means no
-     * bucket is mid-execution.
+     * Walk state of the current tick's slot. `_lane` is the lowest lane
+     * with unread entries and `_head` each lane's read position, so a
+     * pop is O(1). A same-tick schedule into a lane below `_lane` lowers
+     * it, so that event runs next, exactly where a (tick, priority, seq)
+     * heap would put it. `_walkTick == maxTick` means no slot is
+     * mid-walk.
      */
-    Tick _sortedTick = maxTick;
-    std::size_t _cursor = 0;
-    /** Execution order (indices into the sorted bucket). Sorting and
-     *  same-tick inserts move these 4-byte indices instead of whole
-     *  entries, so a callback never pays an InlineFunction move. */
-    std::vector<std::uint32_t> _order;
+    Tick _walkTick = maxTick;
+    unsigned _lane = 0;
+    std::array<std::size_t, numLanes> _head = {};
 };
 
 } // namespace limitless

@@ -55,8 +55,8 @@ ParallelKernel::run(const Hooks &hooks)
 
     // Pick the next window: the globally earliest pending tick over
     // every partition queue and the coupling. All queues align on it so
-    // same-tick schedules land in the mid-execution ordered-insert path
-    // exactly as they would serially.
+    // same-tick schedules join the walked tick's lanes exactly as they
+    // would serially.
     auto publish = [&]() {
         const Tick net_t =
             _coupling ? _coupling->nextCoupledTick() : maxTick;

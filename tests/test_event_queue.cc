@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <random>
 #include <set>
 #include <tuple>
@@ -134,80 +136,223 @@ TEST(EventQueue, DrainedBucketsReturnTheirCapacity)
     EXPECT_LE(eq.reservedEntries(), 4096u);
 }
 
+TEST(EventQueue, AdvanceToMigratesOverflowIntoTheWindow)
+{
+    // The first event is parked in the overflow heap: tick 5,000 is
+    // beyond the 1,024-tick window at tick 0. Once advanceTo brings it
+    // within one span, a later schedule for the same (tick, priority)
+    // must run after it. If advanceTo left it parked, the later event
+    // would reach the lane first and the parked one would append behind.
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(5000, [&]() { order.push_back(1); });
+    eq.advanceTo(4990);
+    eq.schedule(5000, [&]() { order.push_back(2); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(EventQueue, SameTickLowerPriorityRunsNext)
+{
+    // A cpu event schedules network work at its own tick: that event runs
+    // next, ahead of the rest of the cpu lane, and the ctrl event it adds
+    // in turn runs before the cpu lane resumes. A same-lane schedule
+    // joins the back of its lane.
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(5, [&]() {
+        order.push_back(1);
+        eq.schedule(5, [&]() {
+            order.push_back(2);
+            eq.schedule(5, [&]() { order.push_back(3); }, EventPriority::ctrl);
+        }, EventPriority::network);
+        eq.schedule(5, [&]() { order.push_back(5); }, EventPriority::cpu);
+    }, EventPriority::cpu);
+    eq.schedule(5, [&]() { order.push_back(4); }, EventPriority::cpu);
+    eq.schedule(5, [&]() { order.push_back(6); }, EventPriority::stats);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+}
+
+TEST(EventQueueDeathTest, PriorityOutsideTheLanesPanics)
+{
+    EventQueue eq;
+    EXPECT_DEATH(eq.schedule(5, []() {}, 15), "priority 15");
+}
+
 /**
- * Property test: the timing-wheel + overflow-heap queue executes a large
+ * Property tests: the timing-wheel + overflow-heap queue executes a large
  * random schedule in exactly the order a plain (tick, priority, seq)
  * min-heap would. The reference is a std::set ordered by that key —
  * semantically a binary heap with a total order, minus the wheel.
  *
  * Events may reschedule follow-ups (derived deterministically from the
- * parent id), so same-tick insertion during execution, wheel wrap-around
- * and heap->wheel migration are all exercised. Both executions must
- * visit identical id sequences.
+ * parent id), up to 2,000 ticks ahead, so same-tick insertion during
+ * execution, wheel wrap-around and heap->wheel migration are all
+ * exercised. Every driver must visit the reference's id sequence.
  */
-TEST(EventQueueProperty, MatchesReferenceHeapOver100kRandomEvents)
+constexpr int kPrios[] = {EventPriority::network, EventPriority::deliver,
+                          EventPriority::ctrl, EventPriority::cpu,
+                          EventPriority::stats};
+constexpr Tick kMaxTick = 1u << 20; // far beyond the wheel
+
+class RandomSchedule
 {
-    constexpr int kInitial = 100'000;
-    constexpr std::uint64_t kMaxTick = 1u << 20; // far beyond the wheel
-    const std::uint32_t prios[] = {0, 10, 20, 30, 90};
+  public:
+    static constexpr int kInitial = 100'000;
+
+    RandomSchedule()
+    {
+        std::mt19937_64 rng(0xA1ECAFEu);
+        for (int i = 0; i < kInitial; ++i) {
+            whens.push_back(rng() % kMaxTick);
+            prios.push_back(kPrios[rng() % 5]);
+        }
+    }
+
+    /**
+     * Schedule every event on @p eq, let @p drive run the queue, and
+     * return the ids in execution order. @p drive gets an inject(when,
+     * prio) function that schedules an event from outside the queue's
+     * own callbacks, as the parallel kernel's fabric coupling does;
+     * reference() adds each one at the same point of the run.
+     */
+    template <typename Drive>
+    std::vector<std::uint64_t>
+    run(EventQueue &eq, Drive drive)
+    {
+        std::vector<std::uint64_t> order;
+        order.reserve(kInitial * 2);
+        std::uint64_t next_child = kInitial;
+        std::function<void(std::uint64_t)> fire = [&](std::uint64_t id) {
+            order.push_back(id);
+            if (spawns(id)) {
+                const std::uint64_t child = next_child++;
+                eq.schedule(eq.now() + childDelay(id),
+                            [&fire, child]() { fire(child); },
+                            childPrio(id));
+            }
+        };
+        for (std::uint64_t i = 0; i < kInitial; ++i)
+            eq.schedule(whens[i], [&fire, i]() { fire(i); }, prios[i]);
+        auto inject = [&](Tick when, int prio) {
+            const std::uint64_t id = kInjectedIds + injections.size();
+            injections.push_back({order.size(), when, prio, id});
+            eq.schedule(when, [&fire, id]() { fire(id); }, prio);
+        };
+        drive(eq, inject);
+        return order;
+    }
+
+    /** Pop the (when, priority, seq) minimum each step. */
+    std::vector<std::uint64_t>
+    reference() const
+    {
+        using Key = std::tuple<std::uint64_t, int, std::uint64_t,
+                               std::uint64_t>; // when, prio, seq, id
+        std::set<Key> ref;
+        std::uint64_t seq = 0;
+        for (std::uint64_t i = 0; i < kInitial; ++i)
+            ref.insert({whens[i], prios[i], seq++, i});
+        std::vector<std::uint64_t> order;
+        std::uint64_t next_child = kInitial;
+        std::size_t k = 0;
+        for (;;) {
+            for (; k < injections.size() && injections[k].after == order.size();
+                 ++k)
+                ref.insert({injections[k].when, injections[k].prio, seq++,
+                            injections[k].id});
+            if (ref.empty())
+                break;
+            const auto [when, prio, s, id] = *ref.begin();
+            ref.erase(ref.begin());
+            order.push_back(id);
+            if (spawns(id)) {
+                const std::uint64_t child = next_child++;
+                ref.insert({when + childDelay(id), childPrio(id), seq++,
+                            child});
+            }
+        }
+        return order;
+    }
+
+  private:
+    static constexpr std::uint64_t kInjectedIds = std::uint64_t{1} << 32;
+
+    /** An injected event, scheduled once `after` events had run. */
+    struct Injection
+    {
+        std::size_t after;
+        Tick when;
+        int prio;
+        std::uint64_t id;
+    };
 
     // Follow-up rule, a pure function of the parent id so the real and
     // reference runs derive the same children without sharing state.
-    auto spawns = [](std::uint64_t id) { return id % 7 == 0; };
-    auto childDelay = [](std::uint64_t id) { return (id * 2654435761u) % 2000; };
-    auto childPrio = [&](std::uint64_t id) { return prios[id % 5]; };
-
-    std::mt19937_64 rng(0xA1ECAFEu);
-    std::vector<std::uint64_t> whens(kInitial);
-    std::vector<std::uint32_t> initPrios(kInitial);
-    for (int i = 0; i < kInitial; ++i) {
-        whens[i] = rng() % kMaxTick;
-        initPrios[i] = prios[rng() % 5];
+    static bool spawns(std::uint64_t id) { return id % 7 == 0; }
+    static std::uint64_t
+    childDelay(std::uint64_t id)
+    {
+        return (id * 2654435761u) % 2000;
     }
+    static int childPrio(std::uint64_t id) { return kPrios[id % 5]; }
 
-    // Real run.
-    EventQueue eq;
-    std::vector<std::uint64_t> real_order;
-    real_order.reserve(kInitial * 2);
-    std::uint64_t next_child = kInitial;
-    std::function<void(std::uint64_t)> fire = [&](std::uint64_t id) {
-        real_order.push_back(id);
-        if (spawns(id)) {
-            const std::uint64_t child = next_child++;
-            eq.schedule(eq.now() + childDelay(id),
-                        [&fire, child]() { fire(child); },
-                        childPrio(id));
-        }
-    };
-    for (std::uint64_t i = 0; i < kInitial; ++i)
-        eq.schedule(whens[i], [&fire, i]() { fire(i); }, initPrios[i]);
-    eq.run();
+    std::vector<std::uint64_t> whens;
+    std::vector<int> prios;
+    std::vector<Injection> injections;
+};
 
-    // Reference run: pop the (when, priority, seq) minimum each step.
-    using Key = std::tuple<std::uint64_t, std::uint32_t, std::uint64_t,
-                           std::uint64_t>; // when, prio, seq, id
-    std::set<Key> ref;
-    std::uint64_t seq = 0;
-    for (std::uint64_t i = 0; i < kInitial; ++i)
-        ref.insert({whens[i], initPrios[i], seq++, i});
-    std::vector<std::uint64_t> ref_order;
-    ref_order.reserve(real_order.size());
-    std::uint64_t ref_next_child = kInitial;
-    while (!ref.empty()) {
-        const auto [when, prio, s, id] = *ref.begin();
-        ref.erase(ref.begin());
-        ref_order.push_back(id);
-        if (spawns(id)) {
-            const std::uint64_t child = ref_next_child++;
-            ref.insert({when + childDelay(id), childPrio(id), seq++, child});
-        }
-    }
-
-    ASSERT_EQ(real_order.size(), ref_order.size());
+void
+expectSameOrder(const std::vector<std::uint64_t> &real,
+                const std::vector<std::uint64_t> &ref)
+{
+    ASSERT_EQ(real.size(), ref.size());
     // Element-wise compare without dumping 100k values on failure.
-    for (std::size_t i = 0; i < real_order.size(); ++i)
-        ASSERT_EQ(real_order[i], ref_order[i]) << "divergence at step " << i;
-    EXPECT_EQ(eq.executedEvents(), real_order.size());
+    for (std::size_t i = 0; i < real.size(); ++i)
+        ASSERT_EQ(real[i], ref[i]) << "divergence at step " << i;
+}
+
+TEST(EventQueueProperty, MatchesReferenceHeapOver100kRandomEvents)
+{
+    RandomSchedule sched;
+    EventQueue eq;
+    const auto real = sched.run(eq, [](EventQueue &q, auto &&) { q.run(); });
+    expectSameOrder(real, sched.reference());
+    EXPECT_EQ(eq.executedEvents(), real.size());
+}
+
+TEST(EventQueueProperty, ParallelKernelStepsMatchReferenceHeap)
+{
+    // Drive the queue the way ParallelKernel drives a partition queue:
+    // advance to a window start chosen outside the queue, run the tick
+    // below stats priority, then its remainder. The window start is
+    // often earlier than the queue's own next event, as when another
+    // partition holds the globally earliest one. Events also arrive
+    // from outside, as fabric deliveries do: at the window start before
+    // the queue's own events run, possibly for a tick whose earlier
+    // events are still parked in the overflow heap (so advanceTo must
+    // have migrated them), and at the window's tick between its two
+    // halves, which lowers the walk's lane cursor.
+    RandomSchedule sched;
+    EventQueue eq;
+    std::mt19937_64 rng(0x5EEDu);
+    const auto real = sched.run(eq, [&rng](EventQueue &q, auto &&inject) {
+        for (Tick next = q.nextEventTick(); next != maxTick;
+             next = q.nextEventTick()) {
+            const Tick t = std::min(next, q.now() + 1 + rng() % 1500);
+            q.advanceTo(t);
+            const bool injecting = t < kMaxTick;
+            if (injecting && rng() % 2)
+                inject(t + rng() % 2000, kPrios[rng() % 5]);
+            q.runTickBelow(t, EventPriority::stats);
+            if (injecting && rng() % 4 == 0)
+                inject(t, kPrios[rng() % 4]);
+            q.runTickRemainder(t);
+        }
+    });
+    expectSameOrder(real, sched.reference());
+    EXPECT_EQ(eq.executedEvents(), real.size());
 }
 
 } // namespace

@@ -49,6 +49,14 @@ shapeName(const testing::TestParamInfo<ShapeCase> &info)
     return s;
 }
 
+// Without a PrintTo gtest prints the raw bytes of the case, struct
+// padding included, into every ctest name. Print the case name instead.
+void
+PrintTo(const ShapeCase &c, std::ostream *os)
+{
+    *os << shapeName(testing::TestParamInfo<ShapeCase>(c, 0));
+}
+
 class MachineShape : public testing::TestWithParam<ShapeCase>
 {
 };
