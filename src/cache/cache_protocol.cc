@@ -239,13 +239,17 @@ CacheController::tableFor(ProtocolKind kind)
     // Row builders live in member scope so they can name the private
     // static actions.
 
-    /** Rows shared by every scheme: fills, invalidations, BUSY retry. */
+    /** Rows shared by every scheme: fills, invalidations, BUSY retry.
+     *  A private-only read copy is the home node's alone, and a home
+     *  invalidates only the other sharers of a write or an owner, so
+     *  that table has no Read-Only INV row. */
     static constexpr auto addCacheCoreRows = [](CacheTable &t) {
         t.add(csI, Opcode::RDATA, "install_ro", rdataInstall, csRO);
         t.add(csI, Opcode::WDATA, "install_rw", wdataInstall, csRW);
         t.add(csRO, Opcode::WDATA, "upgrade_rw", wdataInstall, csRW);
         t.add(csI, Opcode::INV, "inv_spurious", invSpurious, csI);
-        t.add(csRO, Opcode::INV, "inv_clean_ack", invCleanAck, csI);
+        if (t.info().kind != ProtocolKind::privateOnly)
+            t.add(csRO, Opcode::INV, "inv_clean_ack", invCleanAck, csI);
         t.add(csRW, Opcode::INV, "inv_writeback", invWriteback, csI);
         t.add(csI, Opcode::BUSY, "busy_retry", busyRetry, csI);
         t.add(csRO, Opcode::BUSY, "busy_retry", busyRetry, csRO);

@@ -815,8 +815,8 @@ Machine::dumpStatsJson(std::ostream &os, Tick cycles,
     }
 
     // Machine-wide aggregates: counters summed, accumulators merged with
-    // the parallel-variance formula, bucketed stats reduced to their
-    // sample count (full buckets live in nodes_detail).
+    // the parallel-variance formula, distributions reduced to their
+    // sample count (full counts live in nodes_detail).
     w.key("aggregate").object(4);
     for (const char *comp : statComponents) {
         const StatSet *shape = nullptr;
@@ -839,8 +839,6 @@ Machine::dumpStatsJson(std::ostream &os, Tick cycles,
                 const Stat *s = set ? set->find(stat->name()) : nullptr;
                 if (const auto *acc = dynamic_cast<const Accumulator *>(s))
                     agg.merge(*acc);
-                else if (const auto *h = dynamic_cast<const Histogram *>(s))
-                    count += h->count();
                 else if (const auto *d =
                              dynamic_cast<const Distribution *>(s))
                     count += d->count();

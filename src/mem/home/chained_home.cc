@@ -267,7 +267,6 @@ chainedHomePolicy()
         t.add(stRO, Opcode::REPC, "ro_repc_ack", chainEmpty,
               "chain_empty", repcAckRequester, stRO);
         t.add(stRO, Opcode::REPC, "ro_repc_walk", roRepcWalk, stET);
-        t.add(stRO, Opcode::ACKC, "stale_ack", staleAck, stRO);
 
         t.add(stRW, Opcode::RREQ, "rw_recall_read", rwChainRead, stRT);
         t.add(stRW, Opcode::WREQ, "rw_recall_write", rwChainWrite, stWT);

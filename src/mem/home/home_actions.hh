@@ -9,7 +9,8 @@
  * The add*Rows() builders append the row blocks that are identical
  * across the four pointer-directory schemes (full-map, limited,
  * LimitLESS, private-only) so each scheme file only spells out where it
- * differs: the Read-Only request rows.
+ * differs: the Read-Only request rows, and private-only's Read-Write
+ * rows.
  */
 
 #ifndef LIMITLESS_MEM_HOME_HOME_ACTIONS_HH
@@ -55,7 +56,7 @@ void roWrite(HomeCtx &c);
 void writeUpdate(HomeCtx &c);
 /** RO RUNC: uncached read — data, no pointer. */
 void uncachedRead(HomeCtx &c);
-/** Count-and-ignore a stale acknowledgment. */
+/** RT ACKC before the data: count it and stay (see rt_finish). */
 void staleAck(HomeCtx &c);
 /** Park a mid-transaction request (or BUSY it; see MemParams). */
 void deferRequest(HomeCtx &c);
@@ -99,10 +100,11 @@ void startWriteTransaction(HomeCtx &c, NodeId requester,
 
 /** Transaction states park the requests the scheme's caches send. */
 void addDeferRows(HomeTable &t, std::uint8_t state);
-/** RO rows shared by the pointer schemes: WUPD, ACKC (+ RUNC). */
+/** RO rows shared by the pointer schemes: WUPD (+ RUNC). */
 void addRoCommonRows(HomeTable &t);
-/** The full Read-Write block; RREQ/WREQ actions are parameters so the
- *  LimitLESS table can wrap them with Trap-Always profiling. */
+/** The Read-Write block of the schemes whose lines several caches
+ *  share; RREQ/WREQ actions are parameters so the LimitLESS table can
+ *  wrap them with Trap-Always profiling. */
 void addRwRows(HomeTable &t, void (*rreq_action)(HomeCtx &),
                void (*wreq_action)(HomeCtx &));
 void addRtRows(HomeTable &t);

@@ -10,7 +10,7 @@ namespace limitless
 
 namespace
 {
-/// Shorthand for building a deferred stamp inside the hook bodies.
+/// Shorthand for the stamp kinds the hooks build and apply() reads.
 using Kind = LatencyTracker::DeferredStamp::Kind;
 // Parallel runs buffer a window stride of these per partition.
 static_assert(sizeof(LatencyTracker::DeferredStamp) == 32,
@@ -66,156 +66,153 @@ LatencyTracker::resolve(NodeId node, Addr line, bool &parent_side)
 }
 
 void
+LatencyTracker::note(const DeferredStamp &s)
+{
+    if (_deferBuf)
+        _deferBuf->push_back(s);
+    else
+        apply(s);
+}
+
+void
 LatencyTracker::onInject(Tick now, NodeId requester, Addr line, bool write)
 {
-    if (_deferBuf) {
-        _deferBuf->push_back({now, line, write, requester, Kind::inject});
-        return;
-    }
-    Open open;
-    open.inject = now;
-    open.write = write;
-    // Overwrite any stale entry: a BUSY-NAKed transaction re-injects
-    // under the same key and the retry rounds fold into req_net.
-    _open[key(requester, line)] = open;
+    note({now, line, write, requester, Kind::inject});
 }
 
 void
 LatencyTracker::onHomeArrival(Tick now, NodeId requester, Addr line)
 {
-    if (_deferBuf) {
-        _deferBuf->push_back({now, line, 0, requester, Kind::homeArrival});
-        return;
-    }
-    bool parent = false;
-    if (Open *open = resolve(requester, line, parent)) {
-        if (parent)
-            open->pArrival = now;
-        else
-            open->homeArrival = now;
-    }
+    note({now, line, 0, requester, Kind::homeArrival});
 }
 
 void
 LatencyTracker::onTrap(NodeId requester, Addr line, Tick cycles)
 {
-    if (_deferBuf) {
-        // The one hook without a caller-supplied tick: stamp it with the
-        // deferring partition's clock so the sort interleaves it exactly
-        // where the serial run would have applied it.
-        _deferBuf->push_back(
-            {_deferClock->now(), line, cycles, requester, Kind::trap});
-        return;
-    }
-    bool parent = false;
-    if (Open *open = resolve(requester, line, parent)) {
-        if (parent)
-            open->pTrapCycles += cycles;
-        else
-            open->trapCycles += cycles;
-    }
+    // The one hook without a caller-supplied tick: a deferred stamp
+    // takes the deferring partition's clock so the sort interleaves it
+    // exactly where the serial run would have applied it.
+    note({_deferClock ? _deferClock->now() : 0, line, cycles, requester,
+          Kind::trap});
 }
 
 void
 LatencyTracker::onInvStart(Tick now, NodeId requester, Addr line)
 {
-    if (_deferBuf) {
-        _deferBuf->push_back({now, line, 0, requester, Kind::invStart});
-        return;
-    }
-    bool parent = false;
-    if (Open *open = resolve(requester, line, parent)) {
-        if (parent) {
-            if (!open->pInvStart)
-                open->pInvStart = now;
-        } else if (!open->invStart) {
-            open->invStart = now;
-        }
-    }
+    note({now, line, 0, requester, Kind::invStart});
 }
 
 void
 LatencyTracker::onInvEnd(Tick now, NodeId requester, Addr line)
 {
-    if (_deferBuf) {
-        _deferBuf->push_back({now, line, 0, requester, Kind::invEnd});
-        return;
-    }
-    bool parent = false;
-    if (Open *open = resolve(requester, line, parent)) {
-        if (parent)
-            open->pInvEnd = now;
-        else
-            open->invEnd = now;
-    }
+    note({now, line, 0, requester, Kind::invEnd});
 }
 
 void
 LatencyTracker::onReplySent(Tick now, NodeId requester, Addr line)
 {
-    if (_deferBuf) {
-        _deferBuf->push_back({now, line, 0, requester, Kind::replySent});
-        return;
-    }
-    bool parent = false;
-    if (Open *open = resolve(requester, line, parent)) {
-        if (parent)
-            open->pReply = now;
-        else
-            open->replySent = now;
-    }
+    note({now, line, 0, requester, Kind::replySent});
 }
 
 void
 LatencyTracker::onChipArrival(Tick now, NodeId requester, Addr line)
 {
-    if (_deferBuf) {
-        _deferBuf->push_back({now, line, 0, requester, Kind::chipArrival});
-        return;
-    }
-    if (Open *open = find(requester, line))
-        open->chipArrival = now;
+    note({now, line, 0, requester, Kind::chipArrival});
 }
 
 void
 LatencyTracker::onParentForward(Tick now, NodeId requester, Addr line,
                                 NodeId chip_node)
 {
-    if (_deferBuf) {
-        _deferBuf->push_back(
-            {now, line, chip_node, requester, Kind::parentForward});
-        return;
-    }
-    if (Open *open = find(requester, line)) {
-        open->parentForward = now;
-        _aliases[key(chip_node, line)] = key(requester, line);
-    }
+    note({now, line, chip_node, requester, Kind::parentForward});
 }
 
 void
 LatencyTracker::onParentConsumed(Tick now, NodeId chip_node, Addr line)
 {
-    if (_deferBuf) {
-        _deferBuf->push_back(
-            {now, line, 0, chip_node, Kind::parentConsumed});
-        return;
-    }
-    auto a = _aliases.find(key(chip_node, line));
-    if (a == _aliases.end())
-        return;
-    auto it = _open.find(a->second);
-    if (it != _open.end() && it->second.pReply && now > it->second.pReply)
-        it->second.pReplyNet += now - it->second.pReply;
-    _aliases.erase(a);
+    note({now, line, 0, chip_node, Kind::parentConsumed});
 }
 
 void
 LatencyTracker::onComplete(Tick now, NodeId requester, Addr line)
 {
-    if (_deferBuf) {
-        _deferBuf->push_back({now, line, 0, requester, Kind::complete});
+    note({now, line, 0, requester, Kind::complete});
+}
+
+void
+LatencyTracker::apply(const DeferredStamp &s)
+{
+    switch (s.kind) {
+      case Kind::inject: {
+        Open open;
+        open.inject = s.now;
+        open.write = s.arg != 0;
+        // Overwrite any stale entry: a BUSY-NAKed transaction re-injects
+        // under the same key and the retry rounds fold into req_net.
+        _open[key(s.node, s.line)] = open;
         return;
+      }
+      case Kind::chipArrival:
+        if (Open *open = find(s.node, s.line))
+            open->chipArrival = s.now;
+        return;
+      case Kind::parentForward:
+        if (Open *open = find(s.node, s.line)) {
+            open->parentForward = s.now;
+            _aliases[key(static_cast<NodeId>(s.arg), s.line)] =
+                key(s.node, s.line);
+        }
+        return;
+      case Kind::parentConsumed: {
+        auto a = _aliases.find(key(s.node, s.line));
+        if (a == _aliases.end())
+            return;
+        auto it = _open.find(a->second);
+        if (it != _open.end() && it->second.pReply &&
+            s.now > it->second.pReply)
+            it->second.pReplyNet += s.now - it->second.pReply;
+        _aliases.erase(a);
+        return;
+      }
+      case Kind::complete:
+        complete(s.now, s.node, s.line);
+        return;
+      default:
+        break;
     }
+    // The remaining stamps are the home's; while an alias is live they
+    // land in the parent-side fields of the requester's record.
+    bool parent = false;
+    Open *open = resolve(s.node, s.line, parent);
+    if (!open)
+        return;
+    switch (s.kind) {
+      case Kind::homeArrival:
+        (parent ? open->pArrival : open->homeArrival) = s.now;
+        break;
+      case Kind::trap:
+        (parent ? open->pTrapCycles : open->trapCycles) += s.arg;
+        break;
+      case Kind::invStart: {
+        Tick &start = parent ? open->pInvStart : open->invStart;
+        if (!start)
+            start = s.now;
+        break;
+      }
+      case Kind::invEnd:
+        (parent ? open->pInvEnd : open->invEnd) = s.now;
+        break;
+      case Kind::replySent:
+        (parent ? open->pReply : open->replySent) = s.now;
+        break;
+      default:
+        break;
+    }
+}
+
+void
+LatencyTracker::complete(Tick now, NodeId requester, Addr line)
+{
     auto it = _open.find(key(requester, line));
     if (it == _open.end())
         return;
@@ -336,43 +333,6 @@ LatencyTracker::onComplete(Tick now, NodeId requester, Addr line)
 }
 
 void
-LatencyTracker::replay(const DeferredStamp &s)
-{
-    switch (s.kind) {
-    case Kind::inject:
-        onInject(s.now, s.node, s.line, s.arg != 0);
-        break;
-    case Kind::homeArrival:
-        onHomeArrival(s.now, s.node, s.line);
-        break;
-    case Kind::chipArrival:
-        onChipArrival(s.now, s.node, s.line);
-        break;
-    case Kind::parentForward:
-        onParentForward(s.now, s.node, s.line, static_cast<NodeId>(s.arg));
-        break;
-    case Kind::parentConsumed:
-        onParentConsumed(s.now, s.node, s.line);
-        break;
-    case Kind::trap:
-        onTrap(s.node, s.line, s.arg);
-        break;
-    case Kind::invStart:
-        onInvStart(s.now, s.node, s.line);
-        break;
-    case Kind::invEnd:
-        onInvEnd(s.now, s.node, s.line);
-        break;
-    case Kind::replySent:
-        onReplySent(s.now, s.node, s.line);
-        break;
-    case Kind::complete:
-        onComplete(s.now, s.node, s.line);
-        break;
-    }
-}
-
-void
 LatencyTracker::replayThrough(Tick through,
                               std::vector<std::vector<DeferredStamp>> &bufs)
 {
@@ -396,12 +356,8 @@ LatencyTracker::replayThrough(Tick through,
     _replayStats.peakBuffered =
         std::max(_replayStats.peakBuffered, buffered);
 
-    std::vector<DeferredStamp> *const defer_buf = _deferBuf;
-    const EventQueue *const defer_clock = _deferClock;
-    deferTo(nullptr, nullptr);
     for (const DeferredStamp *s : due)
-        replay(*s);
-    deferTo(defer_buf, defer_clock);
+        apply(*s);
 
     for (auto &buf : bufs)
         std::erase_if(buf, [through](const DeferredStamp &s) {

@@ -231,9 +231,15 @@ class LatencyTracker
     std::uint64_t completed() const { return _completed; }
 
   private:
-    /** Apply one recorded stamp as if the hook had been called live.
-     *  Only meaningful in direct mode (deferTo(nullptr, nullptr)). */
-    void replay(const DeferredStamp &s);
+    /** Every hook's one path: append @p s while deferring, else
+     *  apply() it at once. */
+    void note(const DeferredStamp &s);
+    /** Apply one stamp to the tracker state, whether it comes live from
+     *  a hook or from a deferred buffer (replayThrough). */
+    void apply(const DeferredStamp &s);
+    /** The complete stamp: attribute the record's phases and retire
+     *  it. */
+    void complete(Tick now, NodeId requester, Addr line);
 
     struct Open
     {

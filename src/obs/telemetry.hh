@@ -50,12 +50,11 @@ class JsonWriter;
 /**
  * Standalone power-of-two bucketed histogram for telemetry sinks.
  *
- * Bucket semantics match stats::Histogram so the two are comparable:
- * bucket 0 counts values in [0, 2), bucket i >= 1 counts [2^i, 2^(i+1)),
- * and the last bucket absorbs everything at or above its lower bound
- * (the overflow bucket). Unlike stats::Histogram it exposes the bucket
- * geometry (for labels and tests) and supports merging, so per-job
- * histograms from ParallelRunner fan-outs can be folded together.
+ * Bucket 0 counts values in [0, 2), bucket i >= 1 counts
+ * [2^i, 2^(i+1)), and the last bucket absorbs everything at or above
+ * its lower bound (the overflow bucket). It exposes the bucket geometry
+ * (for labels and tests) and supports merging, so per-job histograms
+ * from ParallelRunner fan-outs can be folded together.
  */
 class Log2Histogram
 {

@@ -84,28 +84,6 @@ Accumulator::json(JsonWriter &w) const
 }
 
 void
-Histogram::print(std::ostream &os) const
-{
-    os << "count=" << _count << " [";
-    bool first = true;
-    for (std::size_t i = 0; i < _buckets.size(); ++i) {
-        if (_buckets[i] == 0)
-            continue;
-        if (!first)
-            os << ", ";
-        first = false;
-        os << "<2^" << i << ":" << _buckets[i];
-    }
-    os << "]";
-}
-
-void
-Histogram::json(JsonWriter &w) const
-{
-    nonzeroCountsJson(w, _count, "buckets", _buckets);
-}
-
-void
 Distribution::print(std::ostream &os) const
 {
     os << "count=" << _count << " [";
@@ -150,13 +128,6 @@ Accumulator &
 StatSet::accumulator(const std::string &name, const std::string &desc)
 {
     return add<Accumulator>(name, desc);
-}
-
-Histogram &
-StatSet::histogram(const std::string &name, const std::string &desc,
-                   unsigned buckets)
-{
-    return add<Histogram>(name, desc, buckets);
 }
 
 Distribution &

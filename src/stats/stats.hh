@@ -1,8 +1,8 @@
 /**
  * @file
- * Statistics package: counters, accumulators, and histograms grouped into
- * named StatSets, in the spirit of gem5's stats framework but deliberately
- * small.
+ * Statistics package: counters, accumulators, and distributions grouped
+ * into named StatSets, in the spirit of gem5's stats framework but
+ * deliberately small.
  *
  * Components own a StatSet and create named stats once at construction;
  * the hot path (increment / sample) is a plain integer operation. The
@@ -131,48 +131,6 @@ class Accumulator : public Stat
 };
 
 /**
- * Power-of-two bucketed histogram: bucket i counts samples in
- * [2^(i-1), 2^i), with bucket 0 counting zeros and ones.
- */
-class Histogram : public Stat
-{
-  public:
-    Histogram(std::string name, std::string desc, unsigned buckets = 24)
-        : Stat(std::move(name), std::move(desc)), _buckets(buckets, 0)
-    {}
-
-    void
-    sample(std::uint64_t v)
-    {
-        unsigned b = 0;
-        while (v > 1 && b + 1 < _buckets.size()) {
-            v >>= 1;
-            ++b;
-        }
-        ++_buckets[b];
-        ++_count;
-    }
-
-    std::uint64_t count() const { return _count; }
-    std::uint64_t bucket(unsigned i) const { return _buckets.at(i); }
-    unsigned numBuckets() const { return _buckets.size(); }
-
-    void print(std::ostream &os) const override;
-    void json(JsonWriter &w) const override;
-
-    void
-    reset() override
-    {
-        std::fill(_buckets.begin(), _buckets.end(), 0);
-        _count = 0;
-    }
-
-  private:
-    std::vector<std::uint64_t> _buckets;
-    std::uint64_t _count = 0;
-};
-
-/**
  * Exact distribution over a small integer domain [0, max_value] (e.g.
  * worker-set size). Buckets grow to the largest value sampled, not to the
  * domain: a 1024-node machine's per-home worker-set stat would otherwise
@@ -239,8 +197,6 @@ class StatSet
     Counter &counter(const std::string &name, const std::string &desc);
     Accumulator &accumulator(const std::string &name,
                              const std::string &desc);
-    Histogram &histogram(const std::string &name, const std::string &desc,
-                         unsigned buckets = 24);
     Distribution &distribution(const std::string &name,
                                const std::string &desc,
                                std::size_t max_value);

@@ -11,10 +11,8 @@
 #include <memory>
 #include <sstream>
 
-#include "harness/experiment.hh"
-#include "machine/coherence_monitor.hh"
 #include "obs/flight_recorder.hh"
-#include "workload/random_stress.hh"
+#include "stress_cases.hh"
 
 namespace limitless
 {
@@ -39,35 +37,22 @@ PrintTo(const ProtocolParams &p, std::ostream *os)
     *os << protocolName(testing::TestParamInfo<ProtocolParams>(p, 0));
 }
 
+// The ctest name of a property case is the name caseName builds, not
+// the raw bytes of the struct (padding included) gtest prints without
+// this PrintTo.
+void
+PrintTo(const PropertyCase &pc, std::ostream *os)
+{
+    *os << propertyCaseName(pc);
+}
+
 namespace
 {
-
-struct PropertyCase
-{
-    ProtocolParams proto;
-    unsigned nodes;
-    std::uint64_t seed;
-    NetworkKind net;
-    unsigned cluster = 1; ///< nodes per chip (cluster-interleaved homes)
-    bool hier = false;    ///< two-level directory mode
-};
 
 std::string
 caseName(const testing::TestParamInfo<PropertyCase> &info)
 {
-    std::ostringstream os;
-    os << info.param.proto.name() << "_" << info.param.nodes << "n_s"
-       << info.param.seed
-       << (info.param.net == NetworkKind::mesh ? "_mesh" : "_ideal");
-    if (info.param.cluster > 1)
-        os << "_c" << info.param.cluster;
-    if (info.param.hier)
-        os << "_hier";
-    std::string s = os.str();
-    for (char &c : s)
-        if (!isalnum(static_cast<unsigned char>(c)))
-            c = '_';
-    return s;
+    return propertyCaseName(info.param);
 }
 
 class ProtocolProperty : public testing::TestWithParam<PropertyCase>
@@ -76,88 +61,11 @@ class ProtocolProperty : public testing::TestWithParam<PropertyCase>
 
 TEST_P(ProtocolProperty, RandomStressMaintainsCoherence)
 {
-    const PropertyCase &pc = GetParam();
-    MachineConfig cfg;
-    cfg.numNodes = pc.nodes;
-    cfg.protocol = pc.proto;
-    cfg.network = pc.net;
-    cfg.seed = pc.seed;
-    cfg.topology.clusterSize = pc.cluster;
-    cfg.hier = pc.hier;
-    // Small cache so replacements (REPM/REPC, spurious INVs) happen.
-    cfg.cache.cacheBytes = 16 * 16;
-
-    Machine m(cfg);
-    RandomStressParams rp;
-    rp.opsPerProc = 120;
-    rp.counterLines = 6;
-    rp.valueLines = 10;
-    rp.seed = pc.seed * 7919 + 13;
-    RandomStress wl(rp);
-    wl.install(m);
-
-    // Interleave execution with the always-true invariants: periodic
-    // checker events fire throughout the run (they abort on violation).
-    CoherenceMonitor monitor(m);
-    for (Tick t = 300; t <= 9000; t += 300) {
-        m.eventQueue().schedule(t, [&monitor]() {
-            monitor.checkGlobalInvariants();
-        }, EventPriority::stats);
-    }
-    const RunResult r = m.run();
-    ASSERT_TRUE(r.completed);
-
-    wl.verify(m);                 // exact counter sums, well-formed tags
-    monitor.checkQuiescent();     // structural directory/cache agreement
-
-    // Protocol health: the ack discipline promises no stray acks, and
-    // every request is eventually satisfied (completion already proves
-    // the latter).
-    EXPECT_EQ(m.sumCounter("mem", "stale_acks"), 0u);
-}
-
-std::vector<PropertyCase>
-makeCases()
-{
-    std::vector<PropertyCase> cases;
-    const std::vector<ProtocolParams> protos = {
-        protocols::fullMap(),
-        protocols::dirNB(1),
-        protocols::dirNB(2),
-        protocols::dirNB(4),
-        protocols::limitlessStall(1, 25),
-        protocols::limitlessStall(4, 100),
-        protocols::limitlessEmulated(2),
-        protocols::limitlessEmulated(4),
-        protocols::chained(),
-    };
-    for (const auto &proto : protos)
-        for (std::uint64_t seed : {11ull, 29ull})
-            cases.push_back(PropertyCase{proto, 16, seed,
-                                         NetworkKind::mesh});
-    // Shape / network variations on a couple of protocols.
-    cases.push_back(PropertyCase{protocols::dirNB(2), 12, 3,
-                                 NetworkKind::mesh});
-    cases.push_back(PropertyCase{protocols::limitlessStall(4, 50), 9, 4,
-                                 NetworkKind::ideal});
-    cases.push_back(PropertyCase{protocols::fullMap(), 2, 5,
-                                 NetworkKind::mesh});
-    // Two-level (hier) machines: four 4-node chips, replacements and
-    // recalls hammering the chip-home FSM under every scheme. The
-    // limitless configs overflow at both levels (1-2 pointers).
-    for (const auto &proto :
-         {protocols::fullMap(), protocols::dirNB(2),
-          protocols::limitlessStall(1, 25), protocols::limitlessEmulated(2),
-          protocols::chained()})
-        cases.push_back(PropertyCase{proto, 16, 17, NetworkKind::mesh,
-                                     4, true});
-    cases.push_back(PropertyCase{protocols::limitlessStall(2, 50), 16, 23,
-                                 NetworkKind::ideal, 8, true});
-    return cases;
+    runPropertyCase(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ProtocolProperty,
-                         testing::ValuesIn(makeCases()), caseName);
+                         testing::ValuesIn(propertyCases()), caseName);
 
 // --------------------------------------------------- Determinism property
 

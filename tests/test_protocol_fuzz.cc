@@ -21,23 +21,13 @@
 #include <memory>
 #include <sstream>
 
-#include "harness/experiment.hh"
-#include "machine/coherence_monitor.hh"
 #include "sim/log.hh"
-#include "sim/rng.hh"
-#include "workload/random_stress.hh"
+#include "stress_cases.hh"
 
 namespace limitless
 {
 namespace
 {
-
-struct FuzzCase
-{
-    ProtocolParams proto;
-    unsigned nodes;
-    std::uint64_t seed;
-};
 
 /** CLI spelling of a protocol, for the reproduce hint. */
 std::string
@@ -85,50 +75,6 @@ fuzzPanicHook()
         g_prevHook();
 }
 
-/** Run one (proto, nodes, seed) stress case and return every coherence
- *  violation (empty = clean). Uses the monitor's non-aborting
- *  collectors so a failure is reported, not abort()ed. */
-std::vector<std::string>
-runCase(const ProtocolParams &proto, unsigned nodes, std::uint64_t seed,
-        unsigned ops)
-{
-    MachineConfig cfg;
-    cfg.numNodes = nodes;
-    cfg.protocol = proto;
-    cfg.seed = seed;
-    // Tiny cache so replacements and spurious INVs exercise the rare
-    // rows, not just the fill path.
-    cfg.cache.cacheBytes = 16 * 16;
-
-    Machine m(cfg);
-    RandomStressParams rp;
-    rp.opsPerProc = ops;
-    rp.counterLines = 4;
-    rp.valueLines = 8;
-    rp.seed = seed;
-    RandomStress wl(rp);
-    wl.install(m);
-
-    std::vector<std::string> out;
-    const RunResult r = m.run();
-    if (!r.completed) {
-        out.push_back("run did not complete");
-        return out;
-    }
-    wl.verify(m);
-
-    CoherenceMonitor monitor(m);
-    for (const CoherenceViolation &v : monitor.collectGlobalViolations())
-        out.push_back(v.what);
-    for (const CoherenceViolation &v :
-         monitor.collectQuiescentViolations())
-        out.push_back(v.what);
-    for (const CoherenceViolation &v :
-         monitor.collectUndeclaredTransitions())
-        out.push_back(v.what);
-    return out;
-}
-
 class ProtocolFuzz : public testing::TestWithParam<FuzzCase>
 {
   protected:
@@ -164,7 +110,7 @@ TEST_P(ProtocolFuzz, ObservedTransitionsAreDeclared)
     SCOPED_TRACE(g_activeCase);
 
     const std::vector<std::string> violations =
-        runCase(fc.proto, fc.nodes, fc.seed, 60);
+        runFuzzCase(fuzzConfig(fc.proto, fc.nodes, fc.seed), 60);
     if (violations.empty())
         return;
 
@@ -180,7 +126,7 @@ TEST_P(ProtocolFuzz, ObservedTransitionsAreDeclared)
     g_activeCase = reproduceHint(FuzzCase{fc.proto, min_nodes, fc.seed},
                                  min_ops);
     const std::vector<std::string> minimal =
-        runCase(fc.proto, min_nodes, fc.seed, min_ops);
+        runFuzzCase(fuzzConfig(fc.proto, min_nodes, fc.seed), min_ops);
     report << "\n  minimal config (" << min_nodes << " nodes, " << min_ops
            << " ops): "
            << (minimal.empty() ? "does NOT reproduce" : "REPRODUCES");
@@ -190,32 +136,8 @@ TEST_P(ProtocolFuzz, ObservedTransitionsAreDeclared)
     FAIL() << report.str();
 }
 
-std::vector<FuzzCase>
-makeCases()
-{
-    ProtocolParams privateOnly;
-    privateOnly.kind = ProtocolKind::privateOnly;
-    const std::vector<ProtocolParams> protos = {
-        protocols::fullMap(),
-        protocols::dirNB(2),
-        protocols::limitlessStall(4, 50),
-        protocols::limitlessEmulated(2),
-        protocols::chained(),
-        privateOnly,
-    };
-    // Derive the per-case seeds from the repo's own generator so the
-    // sweep is deterministic but not hand-picked.
-    Rng rng(0xf022eedull);
-    std::vector<FuzzCase> cases;
-    for (const auto &proto : protos)
-        for (unsigned nodes : {4u, 9u, 16u})
-            cases.push_back(FuzzCase{proto, nodes,
-                                     rng.range(1, 1u << 20)});
-    return cases;
-}
-
 INSTANTIATE_TEST_SUITE_P(Sweep, ProtocolFuzz,
-                         testing::ValuesIn(makeCases()), caseName);
+                         testing::ValuesIn(fuzzCases()), caseName);
 
 } // namespace
 } // namespace limitless

@@ -47,21 +47,6 @@ TEST(Stats, EmptyAccumulatorIsZero)
     EXPECT_DOUBLE_EQ(a.maximum(), 0.0);
 }
 
-TEST(Stats, HistogramBucketsByPowersOfTwo)
-{
-    StatSet set("t");
-    Histogram &h = set.histogram("dist", "distribution", 8);
-    h.sample(0);
-    h.sample(1);
-    h.sample(2);
-    h.sample(3);
-    h.sample(1000);
-    EXPECT_EQ(h.count(), 5u);
-    EXPECT_EQ(h.bucket(0), 2u); // 0 and 1
-    EXPECT_EQ(h.bucket(1), 2u); // 2 and 3
-    EXPECT_EQ(h.bucket(7), 1u); // clamped into the top bucket
-}
-
 TEST(Stats, DistributionCountsExactValues)
 {
     StatSet set("t");
