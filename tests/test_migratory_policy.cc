@@ -9,8 +9,11 @@
 
 #include <memory>
 
+#include "cache/mem_op.hh"
 #include "harness/experiment.hh"
 #include "machine/coherence_monitor.hh"
+#include "machine/coherence_policy.hh"
+#include "mem/memory_controller.hh"
 #include "workload/migratory.hh"
 
 namespace limitless
@@ -48,6 +51,56 @@ TEST(MigratoryPolicy, OverflowEvictsInsteadOfSpilling)
     EXPECT_EQ(evicts->value(), 3u);
     // Only the 2 newest readers keep copies.
     EXPECT_EQ(home.directory().numSharers(line), 2u);
+}
+
+TEST(MigratoryPolicy, RequestsDuringTheEvictionWait)
+{
+    // Home controller alone: a second reader overflows the one-pointer
+    // entry of a migratory line, and a WREQ and a WUPD that arrive while
+    // the victim's ACKC is outstanding are parked behind the eviction
+    // (the Evict-Transaction defers; a WUPD needs the line to be
+    // update-mode too).
+    EventQueue eq;
+    AddressMap amap{4, 16};
+    MemoryController mc(eq, 0, amap, protocols::limitlessStall(1, 50),
+                        MemParams{});
+    std::vector<PacketPtr> sent;
+    mc.setSend([&sent](PacketPtr p) { sent.push_back(std::move(p)); });
+    mc.setTrapStall([](Tick) {});
+    mc.setDivert([](PacketPtr) { FAIL() << "unexpected divert"; });
+    CoherencePolicy policy;
+    const Addr line = amap.addrOnNode(0, 0);
+    policy.markMigratory(line);
+    mc.setPolicy(&policy);
+    auto inject = [&](PacketPtr pkt) {
+        mc.enqueue(std::move(pkt));
+        eq.run();
+    };
+    auto sentTo = [&sent](Opcode op, NodeId dest) {
+        unsigned n = 0;
+        for (const PacketPtr &p : sent)
+            n += p->opcode == op && p->dest == dest;
+        return n;
+    };
+
+    inject(makeProtocolPacket(1, 0, Opcode::RREQ, line));
+    inject(makeProtocolPacket(2, 0, Opcode::RREQ, line));
+    ASSERT_EQ(mc.lineState(line), MemState::evictTransaction);
+    ASSERT_EQ(sentTo(Opcode::INV, 1), 1u) << "oldest pointer evicted";
+    inject(makeProtocolPacket(3, 0, Opcode::WREQ, line));
+    auto wupd = makeProtocolPacket(3, 0, Opcode::WUPD, line);
+    wupd->operands.push_back(0);
+    wupd->operands.push_back(static_cast<std::uint64_t>(MemOpKind::store));
+    wupd->operands.push_back(9);
+    inject(std::move(wupd));
+    EXPECT_EQ(mc.lineState(line), MemState::evictTransaction);
+    EXPECT_EQ(sentTo(Opcode::WDATA, 3) + sentTo(Opcode::WACK, 3), 0u)
+        << "both parked";
+
+    inject(makeProtocolPacket(1, 0, Opcode::ACKC, line));
+    EXPECT_EQ(sentTo(Opcode::RDATA, 2), 1u) << "waiting reader served";
+    EXPECT_EQ(sentTo(Opcode::INV, 2), 1u)
+        << "the replayed write invalidates the new reader";
 }
 
 TEST(MigratoryPolicy, MigratoryWorkloadStillVerifies)
