@@ -221,6 +221,24 @@ TEST(CacheController, BusyTriggersRetryWithBackoff)
     EXPECT_EQ(h.completions[0], 5u);
 }
 
+TEST(CacheController, PrivateOnlyUpgradeRetriesAfterBusy)
+{
+    // A private-only cache holds only its own node's lines; its upgrade
+    // of a read copy can still meet a full defer buffer at the home.
+    CacheHarness h({}, ProtocolKind::privateOnly);
+    const Addr a = h.amap.addrOnNode(1, 0);
+    const Addr line = h.amap.lineAddr(a);
+    h.access(MemOpKind::load, a);
+    h.reply(Opcode::RDATA, line, {3, 4}, 1);
+    h.access(MemOpKind::store, a, 8);
+    ASSERT_EQ(h.count(Opcode::WREQ), 1u);
+    h.reply(Opcode::BUSY, line, {}, 1);
+    EXPECT_EQ(h.count(Opcode::WREQ), 2u) << "upgrade resent";
+    h.reply(Opcode::WDATA, line, {3, 4}, 1);
+    ASSERT_EQ(h.completions.size(), 2u);
+    EXPECT_EQ(h.cache.array().lookup(line)->words[0], 8u);
+}
+
 TEST(CacheController, AccessesToALineWithPendingTxnAreSerialized)
 {
     CacheHarness h;
