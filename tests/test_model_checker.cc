@@ -148,18 +148,20 @@ TEST(CheckerWorld, InapplicableChoicesAreRejectedWithoutSideEffects)
 
 // --- Injected bugs: counterexample, minimization, replay -----------
 
-TEST(CheckerFaultInjection, FlippedAckGuardDeadlocksAndReplays)
+/** rt_finish is guarded on data_seen: with the guard inverted the
+ *  owner's ack falls through to the Read-Transaction stale_ack row, the
+ *  home never leaves Read-Transaction, and the conflicting requests
+ *  park in the defer buffer forever. */
+void
+expectFlippedAckGuardDeadlocksAndReplays(const ProtocolParams &proto)
 {
-    // rt_finish is guarded on data_seen: with the guard inverted the
-    // home never leaves Read-Transaction, so the conflicting requests
-    // park in the defer buffer forever.
+    SCOPED_TRACE(proto.name());
     const std::uint16_t row =
-        findRowByLabel(ProtocolKind::fullMap, TableSide::home,
-                       "rt_finish");
-    GuardFlipScope flip(ProtocolKind::fullMap, TableSide::home, row);
+        findRowByLabel(proto.kind, TableSide::home, "rt_finish");
+    GuardFlipScope flip(proto.kind, TableSide::home, row);
 
     CheckConfig cfg;
-    cfg.protocol = protocols::fullMap();
+    cfg.protocol = proto;
     cfg.nodes = 2;
     cfg.lines = 2;
     cfg.script = "conflict";
@@ -176,7 +178,7 @@ TEST(CheckerFaultInjection, FlippedAckGuardDeadlocksAndReplays)
     // Round-trip through the trace format and replay.
     CheckTrace trace;
     trace.config = cfg;
-    trace.flips = {GuardFlip{ProtocolKind::fullMap, TableSide::home, row}};
+    trace.flips = {GuardFlip{proto.kind, TableSide::home, row}};
     trace.violation = r.cex->kind;
     trace.messages = r.cex->messages;
     trace.schedule = minimized;
@@ -186,6 +188,21 @@ TEST(CheckerFaultInjection, FlippedAckGuardDeadlocksAndReplays)
     std::string error;
     ASSERT_TRUE(parseTrace(buf, parsed, &error)) << error;
     EXPECT_TRUE(replayTrace(parsed));
+}
+
+TEST(CheckerFaultInjection, FlippedAckGuardDeadlocksAndReplays)
+{
+    expectFlippedAckGuardDeadlocksAndReplays(protocols::fullMap());
+}
+
+TEST(CheckerFaultInjection, FlippedAckGuardDeadlocksInEverySweptScheme)
+{
+    // The same fault in the other schemes whose recalls the sweep
+    // explores (private-only recalls run over the loopback path).
+    for (const ProtocolParams &proto :
+         {protocols::dirNB(1), protocols::limitlessStall(1, 8),
+          protocols::chained()})
+        expectFlippedAckGuardDeadlocksAndReplays(proto);
 }
 
 TEST(CheckerFaultInjection, FlippedWriteTrapGuardBreaksSafety)

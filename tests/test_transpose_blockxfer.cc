@@ -8,6 +8,7 @@
 
 #include <memory>
 
+#include "check/coverage.hh"
 #include "harness/experiment.hh"
 #include "kernel/block_transfer.hh"
 #include "machine/coherence_monitor.hh"
@@ -126,6 +127,112 @@ TEST(BlockTransfer, MovesLinesCoherentlyBetweenNodes)
         for (unsigned w = 0; w < amap.wordsPerLine(); ++w)
             EXPECT_EQ(mem[w], 100 + k * amap.wordsPerLine() + w)
                 << "line " << k << " word " << w;
+    }
+}
+
+/** Whether a row for (@p state, @p op) of @p kind's home table fired. */
+bool
+homeRowFired(const CoverageScope &scope, ProtocolKind kind,
+             MemState state, Opcode op)
+{
+    const TableInfo *t =
+        ProtocolTableRegistry::instance().find(kind, TableSide::home);
+    for (const TransitionRow &row : t->rows)
+        if (row.state == static_cast<std::uint8_t>(state) &&
+            row.opcode == op && scope.covered(kind, TableSide::home, row.id))
+            return true;
+    return false;
+}
+
+struct StoreBackRun
+{
+    bool rwRecall = false; ///< a store-back WUPD met the dirty line
+    bool rtDefer = false;  ///< one waited out the reader's recall
+};
+
+/**
+ * Node 1 stores one line back into a destination line that node 6 has
+ * just written, so the home sees the store-back's WUPDs against a line
+ * held Read-Write. With @p read_delay >= 0, node 7 reads the line that
+ * many cycles after node 6's write, 100 cycles before the transfer
+ * starts at the earliest, and its recall of node 6's copy can still be
+ * open when the WUPDs land. Every read sees a value the line held, and
+ * after the transfer the stored-back one.
+ */
+StoreBackRun
+storeBackIntoDirtyLine(const ProtocolParams &proto, int read_delay)
+{
+    MachineConfig cfg;
+    cfg.numNodes = 8;
+    cfg.protocol = proto;
+    cfg.seed = 47;
+    Machine m(cfg);
+    BlockTransferService xfer(m, 1);
+    const AddressMap &amap = m.addressMap();
+    const Addr src = amap.lineAddr(amap.addrOnNode(1, 0x40));
+    const Addr dst = amap.lineAddr(amap.addrOnNode(5, 0x80));
+    const unsigned words = amap.wordsPerLine();
+    auto payload = [](unsigned w) -> std::uint64_t { return 100 + w; };
+    constexpr std::uint64_t dirtyValue = 7;
+    bool dirty = false;
+    bool done = false;
+
+    CoverageScope scope;
+    m.spawnOn(6, [&](ThreadApi &t) -> Task<> {
+        co_await t.write(dst, dirtyValue);
+        dirty = true;
+        while (!done)
+            co_await t.compute(8);
+        for (unsigned w = 0; w < words; ++w)
+            EXPECT_EQ(co_await t.read(dst + w * bytesPerWord), payload(w));
+    });
+    if (read_delay >= 0) {
+        m.spawnOn(7, [&](ThreadApi &t) -> Task<> {
+            while (!dirty)
+                co_await t.compute(1);
+            co_await t.compute(static_cast<Tick>(read_delay));
+            const std::uint64_t v = co_await t.read(dst);
+            EXPECT_TRUE(v == dirtyValue || v == payload(0)) << v;
+        });
+    }
+    m.spawnOn(1, [&](ThreadApi &t) -> Task<> {
+        for (unsigned w = 0; w < words; ++w)
+            co_await t.write(src + w * bytesPerWord, payload(w));
+        while (!dirty)
+            co_await t.compute(1);
+        co_await t.compute(100);
+        co_await xfer.transfer(t, src, dst, 1);
+        done = true;
+    });
+    EXPECT_TRUE(m.run().completed);
+    CoherenceMonitor(m).checkQuiescent();
+    const LineWords &mem = m.node(amap.homeOf(dst)).mem().readLine(dst);
+    for (unsigned w = 0; w < words; ++w)
+        EXPECT_EQ(mem[w], payload(w)) << "word " << w;
+    return {homeRowFired(scope, proto.kind, MemState::readWrite,
+                         Opcode::WUPD),
+            homeRowFired(scope, proto.kind, MemState::readTransaction,
+                         Opcode::WUPD)};
+}
+
+TEST(BlockTransfer, StoreBackRecallsADirtyDestinationLine)
+{
+    for (const auto &proto : {protocols::fullMap(), protocols::dirNB(2),
+                              protocols::limitlessStall(4, 50)})
+        EXPECT_TRUE(storeBackIntoDirtyLine(proto, -1).rwRecall)
+            << proto.name();
+}
+
+TEST(BlockTransfer, StoreBackWaitsOutAReadRecallOfTheDestination)
+{
+    // Sweep the reader's start until its recall is open when the
+    // store-back lands; every run of the sweep must stay coherent.
+    for (const auto &proto : {protocols::fullMap(), protocols::dirNB(2),
+                              protocols::limitlessStall(4, 50)}) {
+        bool landed = false;
+        for (int delay = 0; delay <= 200 && !landed; ++delay)
+            landed = storeBackIntoDirtyLine(proto, delay).rtDefer;
+        EXPECT_TRUE(landed) << proto.name();
     }
 }
 
