@@ -1,5 +1,7 @@
 #include "kernel/block_transfer.hh"
 
+#include <memory>
+
 #include "sim/log.hh"
 
 namespace limitless
@@ -31,26 +33,30 @@ BlockTransferService::handleMessage(NodeId receiver, const Packet &pkt)
         return;
     }
 
-    // Data packet: store the payload back into this node's memory
-    // coherently — each word goes through the memory controller as a
-    // write-update, refreshing any cached copies of the destination.
+    // Data packet: store the payload back coherently — each word is an
+    // ordinary store through this node's own cache, so the home's table
+    // recalls or invalidates every other copy of the destination under
+    // any scheme. The stores go back to back (the cache queues accesses
+    // to a line with a transaction in flight); the completion message
+    // leaves when the last one is performed.
     const Addr dst_line = pkt.operands.at(2);
     assert(_m.addressMap().homeOf(dst_line) == receiver);
     const unsigned words = _m.addressMap().wordsPerLine();
     assert(pkt.data.size() >= words);
+    const auto sender = static_cast<NodeId>(pkt.src);
+    auto left = std::make_shared<unsigned>(words);
     for (unsigned w = 0; w < words; ++w) {
-        auto wupd = makeProtocolPacket(receiver, receiver, Opcode::WUPD,
-                                       dst_line);
-        wupd->operands.push_back(w);
-        wupd->operands.push_back(
-            static_cast<std::uint64_t>(MemOpKind::store));
-        wupd->operands.push_back(pkt.data[w]);
-        wupd->operands.push_back(1); // silent: kernel write, no WACK
-        _m.node(receiver).mem().enqueue(std::move(wupd));
+        const MemOp store{MemOpKind::store, dst_line + w * bytesPerWord,
+                          pkt.data[w]};
+        _m.node(receiver).cache().access(
+            store, [this, receiver, sender, left](std::uint64_t) {
+                if (--*left != 0)
+                    return;
+                _m.node(receiver).ipi().send(makeInterruptPacket(
+                    receiver, sender, Opcode::IPI_BLOCK_XFER,
+                    {_id, doneVerb}));
+            });
     }
-    _m.node(receiver).ipi().send(makeInterruptPacket(
-        receiver, static_cast<NodeId>(pkt.src), Opcode::IPI_BLOCK_XFER,
-        {_id, doneVerb}));
 }
 
 Task<>

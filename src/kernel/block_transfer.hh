@@ -7,13 +7,13 @@
  *
  * The sending thread reads a run of lines through the coherent
  * interface and ships them as interrupt-class packets; the receiver's
- * handler
- * store-backs each payload into its own memory *coherently* by issuing
- * write-update (WUPD) operations through its memory controller, so any
- * cached copies of the destination lines are refreshed, then posts a
- * completion message back. Threads wait on a host-visible done flag set
- * by the completion handler (the same interrupt-wait idiom as the FIFO
- * lock).
+ * handler stores each payload back into its own memory *coherently*, as
+ * ordinary stores through the receiving node's cache — so the home's
+ * transition table invalidates or recalls every other cached copy of
+ * the destination line, under every directory scheme — and posts a
+ * completion message back once the last store is performed. Threads
+ * wait on a host-visible done flag set by the completion handler (the
+ * same interrupt-wait idiom as the FIFO lock).
  */
 
 #ifndef LIMITLESS_KERNEL_BLOCK_TRANSFER_HH

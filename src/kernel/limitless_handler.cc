@@ -1,6 +1,5 @@
 #include "kernel/limitless_handler.hh"
 
-#include <algorithm>
 #include <cassert>
 
 #include "obs/flight_recorder.hh"
@@ -11,8 +10,8 @@ namespace limitless
 {
 
 LimitlessHandler::LimitlessHandler(EventQueue &eq, MemoryController &mc,
-                                   Processor &proc, KernelCosts costs)
-    : _eq(eq), _mc(mc), _proc(proc), _costs(costs),
+                                   KernelCosts costs)
+    : _eq(eq), _mc(mc), _costs(costs),
       _statTraps(_stats.counter("traps", "LimitLESS traps taken")),
       _statReadTraps(
           _stats.counter("read_traps", "pointer-overflow read traps")),
@@ -55,12 +54,13 @@ LimitlessHandler::handlePacket(const Packet &pkt,
     // Trap-Always lines that are not in a stable Read-Only state (e.g. a
     // dirty owner exists) must go through the ordinary transaction
     // machinery — serving them from memory would return stale data. The
-    // handler re-executes the hardware path and keeps the mode armed.
+    // handler records the access, as the inline rows do, re-executes the
+    // hardware path and keeps the mode armed.
     Tick cost = 0;
-    const bool unstable = _mc.lineState(line) != MemState::readOnly;
-    if (why == MetaState::trapAlways && unstable &&
-        (pkt.opcode == Opcode::RREQ || pkt.opcode == Opcode::WREQ)) {
+    if (why == MetaState::trapAlways &&
+        _mc.lineState(line) != MemState::readOnly) {
         restore_meta = MetaState::trapAlways;
+        _mc.profileTable().addSharer(line, pkt.src);
         _mc.processBypassingMeta(clonePacket(pkt));
         cost = _costs.trapEntry + _costs.decode + _costs.stateUpdate;
     } else {
@@ -119,31 +119,17 @@ LimitlessHandler::handleReadOverflow(const Packet &pkt,
                                      std::vector<PacketPtr> &out,
                                      MetaState &restore_meta)
 {
-    LimitlessDir *ldir = _mc.limitlessDir();
-    SoftwareDirTable &sw = _mc.softwareTable();
     const Addr line = pkt.addr();
     const NodeId src = pkt.src;
 
     Tick cost = _costs.trapEntry + _costs.decode + _costs.hashLookup;
-    if (!sw.has(line))
+    if (!_mc.softwareTable().has(line))
         cost += _costs.vectorAlloc;
 
     // Empty the hardware pointers into the bit vector (paper §4.4).
     std::vector<NodeId> spilled;
-    ldir->spillPointers(line, spilled);
-    sw.addSharers(line, spilled);
+    restore_meta = _mc.spillOverflow(line, src, spilled);
     cost += spilled.size() * _costs.perPointer;
-
-    if (_mc.protocol().trapOnWrite) {
-        // Leave the pointer array free so hardware absorbs further reads.
-        const DirAdd r = ldir->tryAdd(line, src);
-        assert(r != DirAdd::overflow);
-        (void)r;
-        restore_meta = MetaState::trapOnWrite;
-    } else {
-        sw.addSharer(line, src);
-        restore_meta = MetaState::trapAlways;
-    }
 
     out.push_back(buildData(Opcode::RDATA, src, line));
     cost += _costs.perInv + _costs.stateUpdate;
@@ -173,9 +159,8 @@ LimitlessHandler::handleSoftwareRead(const Packet &pkt,
 {
     // Trap-Always line (ablation D1 / profiling): software services every
     // read itself.
-    SoftwareDirTable &sw = _mc.softwareTable();
     const Addr line = pkt.addr();
-    sw.addSharer(line, pkt.src);
+    _mc.softwareTable().addSharer(line, pkt.src);
     _mc.profileTable().addSharer(line, pkt.src);
     out.push_back(buildData(Opcode::RDATA, pkt.src, line));
     restore_meta = MetaState::trapAlways;
@@ -203,42 +188,21 @@ LimitlessHandler::handleWrite(const Packet &pkt,
                               std::vector<PacketPtr> &out,
                               MetaState &restore_meta)
 {
-    LimitlessDir *ldir = _mc.limitlessDir();
-    SoftwareDirTable &sw = _mc.softwareTable();
     const Addr line = pkt.addr();
     const NodeId src = pkt.src;
-
-    // Gather the complete sharer set: hardware pointers + bit vector.
-    std::vector<NodeId> all;
-    ldir->sharers(line, all);
-    sw.sharers(line, all);
-    std::sort(all.begin(), all.end());
-    all.erase(std::unique(all.begin(), all.end()), all.end());
-    std::vector<NodeId> others;
-    for (NodeId n : all)
-        if (n != src)
-            others.push_back(n);
-    _mc.noteWorkerSet(others.size() + 1);
-
-    Tick cost = _costs.trapEntry + _costs.decode + _costs.hashLookup +
-                all.size() * _costs.perPointer + _costs.stateUpdate;
 
     // Return the line to hardware control (paper §4.4): requester in the
     // directory, acknowledgment counter set, Normal mode, and either the
     // grant (no sharers) or a Write-Transaction awaiting ACKCs.
     // Trap-Always lines stay armed and keep their cumulative profile.
     const bool sticky =
-        ldir->prevMeta(line) == MetaState::trapAlways;
-    if (sticky) {
-        _mc.profileTable().addSharers(line, all);
-        _mc.profileTable().addSharer(line, src);
-    }
-    sw.free(line);
-    ldir->clear(line);
-    const DirAdd r = ldir->tryAdd(line, src);
-    assert(r != DirAdd::overflow);
-    (void)r;
+        _mc.limitlessDir()->prevMeta(line) == MetaState::trapAlways;
+    std::vector<NodeId> others;
+    const std::size_t gathered = _mc.gatherWrite(line, src, sticky, others);
     restore_meta = sticky ? MetaState::trapAlways : MetaState::normal;
+
+    Tick cost = _costs.trapEntry + _costs.decode + _costs.hashLookup +
+                gathered * _costs.perPointer + _costs.stateUpdate;
 
     if (others.empty()) {
         _mc.setLineState(line, MemState::readWrite);

@@ -13,9 +13,17 @@
  * hardware Write-Transaction state, and returns the line to hardware
  * control.
  *
- * Handler occupancy is charged to the processor via stallFor(), so the
- * application threads on the home node really do slow down — the effect
- * behind the paper's Ts=25 "back-off" anomaly in Figure 9.
+ * The directory half of that software — the spill and the gather — is
+ * the home core's (HomeCore::spillOverflow, MemoryController::
+ * gatherWrite), shared with the stall approximation's inline rows and
+ * the chip homes. What stays here is what full emulation does
+ * differently: the cost is summed from KernelCosts, the meta state is
+ * restored when the trap returns, and packets leave as one IPI batch.
+ *
+ * The trap dispatcher charges the handler's occupancy to the processor
+ * via stallFor(), so the application threads on the home node really do
+ * slow down — the effect behind the paper's Ts=25 "back-off" anomaly in
+ * Figure 9.
  */
 
 #ifndef LIMITLESS_KERNEL_LIMITLESS_HANDLER_HH
@@ -24,9 +32,7 @@
 #include <vector>
 
 #include "kernel/kernel_costs.hh"
-#include "kernel/software_dir.hh"
 #include "mem/memory_controller.hh"
-#include "proc/processor.hh"
 #include "sim/event_queue.hh"
 #include "stats/stats.hh"
 
@@ -38,7 +44,7 @@ class LimitlessHandler
 {
   public:
     LimitlessHandler(EventQueue &eq, MemoryController &mc,
-                     Processor &proc, KernelCosts costs = {});
+                     KernelCosts costs = {});
 
     /**
      * Handle one diverted protocol packet.
@@ -55,7 +61,6 @@ class LimitlessHandler
     void finishLine(Addr line, MetaState restore_meta);
 
     StatSet &stats() { return _stats; }
-    const SoftwareDirTable &table() const { return _mc.softwareTable(); }
 
   private:
     Tick handleReadOverflow(const Packet &pkt, std::vector<PacketPtr> &out,
@@ -70,7 +75,6 @@ class LimitlessHandler
 
     EventQueue &_eq;
     MemoryController &_mc;
-    Processor &_proc;
     KernelCosts _costs;
 
     StatSet _stats{"handler"};

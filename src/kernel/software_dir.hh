@@ -5,9 +5,9 @@
  * memory (paper Section 4.4: "the trap code allocates a full-map
  * bit-vector in local memory. This vector is entered into a hash table").
  *
- * Used by both LimitLESS models: the full-emulation trap handler owns one
- * per node, and the stall-approximation memory controller uses one
- * internally for identical bookkeeping.
+ * Each home directory owns one (HomeCore::softwareTable), at both
+ * levels; both LimitLESS models fill it through the one copy of the
+ * software, HomeCore::spillOverflow and MemoryController::gatherWrite.
  */
 
 #ifndef LIMITLESS_KERNEL_SOFTWARE_DIR_HH

@@ -45,8 +45,8 @@ Node::Node(EventQueue &eq, NodeId id, const AddressMap &amap,
                                                     cfg.kernel);
     if (cfg.protocol.kind == ProtocolKind::limitless &&
         cfg.protocol.limitlessMode == LimitlessMode::fullEmulation) {
-        _handler = std::make_unique<LimitlessHandler>(eq, *_mem, *_proc,
-                                                      cfg.kernel);
+        _handler =
+            std::make_unique<LimitlessHandler>(eq, *_mem, cfg.kernel);
         _dispatcher->setProtocolHandler(_handler.get());
     }
     _ipi->setInterrupt([this]() { _dispatcher->onInterrupt(); });

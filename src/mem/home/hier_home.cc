@@ -261,12 +261,11 @@ cSoftwareRead(ChipCtx &c)
 
 /** Chip pointer overflow on a read: spill the hardware pointers into
  *  the chip software table (LimitLESS, paper Section 3, applied one
- *  level down) and charge Ts. */
+ *  level down, with the flat level's spill) and charge Ts. */
 void
 cReadOverflowSoftware(ChipCtx &c)
 {
     ChipHomeController &ch = c.ch;
-    LimitlessDir *ldir = ch.limitlessDir();
     const Addr line = c.line();
     const NodeId src = c.src();
     ch.noteRead();
@@ -276,20 +275,10 @@ cReadOverflowSoftware(ChipCtx &c)
     (void)r;
 
     std::vector<NodeId> spilled;
-    ldir->spillPointers(line, spilled);
-    ch.softwareTable().addSharers(line, spilled);
+    const MetaState meta = ch.spillOverflow(line, src, spilled);
     ch.noteReadTrapTaken();
     ch.chargeTrap(ch.protocol().softwareLatency, src, line);
-
-    if (ch.protocol().trapOnWrite) {
-        const DirAdd r2 = ch.directory().tryAdd(line, src);
-        assert(r2 != DirAdd::overflow);
-        (void)r2;
-        ldir->setMeta(line, MetaState::trapOnWrite);
-    } else {
-        ch.softwareTable().addSharer(line, src);
-        ldir->setMeta(line, MetaState::trapAlways);
-    }
+    ch.limitlessDir()->setMeta(line, meta);
     ch.grantRead(src, line);
 }
 

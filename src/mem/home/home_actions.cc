@@ -7,7 +7,6 @@
 
 #include "mem/home/home_actions.hh"
 
-#include <algorithm>
 #include <cassert>
 
 #include "cache/mem_op.hh"
@@ -39,18 +38,6 @@ dataSeenGuard(const HomeCtx &c)
 // --------------------------------------------------------------------
 // Helpers
 // --------------------------------------------------------------------
-
-namespace
-{
-
-/** A kernel-injected WUPD (block-transfer store-back) wants no WACK. */
-bool
-silentWupd(const Packet &pkt)
-{
-    return pkt.operands.size() > 4 && (pkt.operands[4] & 1);
-}
-
-} // namespace
 
 NodeId
 soleOwner(const HomeCtx &c)
@@ -127,7 +114,6 @@ writeUpdate(HomeCtx &c)
     const unsigned word = static_cast<unsigned>(pkt.operands.at(1));
     const auto kind = static_cast<MemOpKind>(pkt.operands.at(2));
     const std::uint64_t value = pkt.operands.at(3);
-    const bool silent = silentWupd(pkt);
     assert(word < mc.addressMap().wordsPerLine());
 
     // Perform the operation at memory (atomic: the home serializes).
@@ -150,11 +136,7 @@ writeUpdate(HomeCtx &c)
     // (that is the whole point of update mode). Software-extended state
     // is consulted but not freed.
     std::vector<NodeId> sharers;
-    mc.directory().sharers(line, sharers);
-    mc.softwareTable().sharers(line, sharers);
-    std::sort(sharers.begin(), sharers.end());
-    sharers.erase(std::unique(sharers.begin(), sharers.end()),
-                  sharers.end());
+    mc.sharers(line, sharers);
 
     // This is a software-synthesized coherence type on the LimitLESS
     // machine: charge the handler occupancy.
@@ -162,17 +144,14 @@ writeUpdate(HomeCtx &c)
         mc.chargeTrap(mc.protocol().softwareLatency, src, line);
 
     if (sharers.empty()) {
-        if (!silent) {
-            auto wack = makeProtocolPacket(mc.nodeId(), src, Opcode::WACK,
-                                           line);
-            wack->operands.push_back(old);
-            mc.dispatch(std::move(wack));
-        }
+        auto wack = makeProtocolPacket(mc.nodeId(), src, Opcode::WACK,
+                                       line);
+        wack->operands.push_back(old);
+        mc.dispatch(std::move(wack));
         return;
     }
     c.hl.state = MemState::writeTransaction;
     c.hl.updWrite = true;
-    c.hl.updSilent = silent;
     c.hl.updOld = old;
     c.hl.pending = src;
     c.hl.ackCtr = static_cast<std::uint32_t>(sharers.size());
@@ -263,9 +242,8 @@ rwUncachedRecall(HomeCtx &c)
 void
 rwWupdRecall(HomeCtx &c)
 {
-    // Write-update against a dirty line: a kernel block-transfer
-    // store-back (any pointer scheme) or a private-only remote write to
-    // the line the home node holds: recall the data, then apply.
+    // Private-only remote write to the line the home node holds dirty:
+    // recall the data, then apply.
     Packet &pkt = *c.pkt;
     const Addr line = pkt.addr();
     if (c.mc.coherencePolicy() && c.mc.coherencePolicy()->isUpdateMode(line))
@@ -278,7 +256,6 @@ rwWupdRecall(HomeCtx &c)
     c.hl.pending = pkt.src;
     c.hl.ackCtr = 1;
     c.hl.updWrite = true;
-    c.hl.updSilent = silentWupd(pkt);
     c.hl.updApply = true;
     c.hl.updWord = static_cast<unsigned>(pkt.operands.at(1));
     c.hl.updKind = static_cast<std::uint8_t>(pkt.operands.at(2));
@@ -369,14 +346,11 @@ wtAck(HomeCtx &c)
         }
         // Update-mode write: every cached copy is refreshed; the writer
         // gets the old word, the line stays Read-Only.
-        if (!hl.updSilent) {
-            auto wack = makeProtocolPacket(mc.nodeId(), hl.pending,
-                                           Opcode::WACK, line);
-            wack->operands.push_back(hl.updOld);
-            mc.dispatch(std::move(wack));
-        }
+        auto wack = makeProtocolPacket(mc.nodeId(), hl.pending,
+                                       Opcode::WACK, line);
+        wack->operands.push_back(hl.updOld);
+        mc.dispatch(std::move(wack));
         hl.updWrite = false;
-        hl.updSilent = false;
         hl.state = MemState::readOnly;
     } else {
         // Transition 8: grant write permission.
@@ -442,14 +416,15 @@ addDeferRows(HomeTable &t, std::uint8_t state)
 {
     // Transition 7: requests wait out the in-flight transaction. Only
     // the opcodes the scheme's caches send get a row: REPC comes from
-    // chained caches alone, which send no WUPD. A WUPD (an update-mode
-    // write, a private-only remote write, or a kernel block-transfer
-    // store-back) can land in any transaction of the other schemes.
+    // chained caches alone, which send no WUPD. A WUPD is an update-mode
+    // write or a private-only remote write. An update-mode line is never
+    // held exclusively, so only private-only's WUPD can meet the
+    // Read-Transaction that recalls a dirty line.
     t.add(state, Opcode::RREQ, "defer", deferRequest, state);
     t.add(state, Opcode::WREQ, "defer", deferRequest, state);
     if (t.info().kind == ProtocolKind::chained)
         t.add(state, Opcode::REPC, "defer", deferRequest, state);
-    else
+    else if (state != stRT || sendsRunc(t))
         t.add(state, Opcode::WUPD, "defer", deferRequest, state);
     if (sendsRunc(t))
         t.add(state, Opcode::RUNC, "defer", deferRequest, state);
@@ -470,7 +445,6 @@ addRwRows(HomeTable &t, void (*rreq_action)(HomeCtx &),
 {
     t.add(stRW, Opcode::RREQ, "rw_recall_read", rreq_action, stRT);
     t.add(stRW, Opcode::WREQ, "rw_recall_write", wreq_action, stWT);
-    t.add(stRW, Opcode::WUPD, "rw_wupd_recall", rwWupdRecall, stWT);
     t.add(stRW, Opcode::REPM, "rw_owner_replace", rwOwnerReplace, stRO);
 }
 

@@ -63,6 +63,8 @@ void deferRequest(HomeCtx &c);
 
 void rwRead(HomeCtx &c);
 void rwWrite(HomeCtx &c);
+/** Private-only: a remote uncached read (RUNC) or write (WUPD) of the
+ *  line the home node holds dirty recalls it first. */
 void rwUncachedRecall(HomeCtx &c);
 void rwWupdRecall(HomeCtx &c);
 void rwOwnerReplace(HomeCtx &c);

@@ -30,8 +30,6 @@ struct HomeLine : DeferredRequests
     /** Update-mode write in flight: complete with WACK, stay RO. */
     bool updWrite = false;
     std::uint64_t updOld = 0;
-    /** Kernel-injected WUPD: no WACK wanted (fire and forget). */
-    bool updSilent = false;
     /** WUPD against a dirty line: apply after the owner's data. */
     bool updApply = false;
     unsigned updWord = 0;

@@ -10,10 +10,10 @@
  * Trans-In-Progress interlocks, Trap-On-Write, Trap-Always — and diverts
  * trapped packets through the IPI interface to the software handler in
  * src/kernel/limitless_handler.cc, which re-enters the hardware path via
- * processBypassingMeta().
+ * processBypassingMeta(). Both modes run the same software: the spill
+ * and the write gather are the home core's.
  */
 
-#include <algorithm>
 #include <cassert>
 
 #include "directory/limitless_dir.hh"
@@ -90,10 +90,11 @@ roReadOverflowSoftware(HomeCtx &c)
     assert(r == DirAdd::overflow && "guard admitted a non-overflow");
     (void)r;
 
-    // Migratory lines (Section 6): the handler evicts the oldest pointer
-    // FIFO instead of spilling a bit vector — the worker-set is about to
-    // move on anyway, so a full map would be stale the moment it was
-    // allocated.
+    // Migratory lines (Section 6): evict the oldest pointer FIFO instead
+    // of spilling a bit vector — the worker-set is about to move on
+    // anyway, so a full map would be stale the moment it was allocated.
+    // The stall approximation alone does this; the full-emulation
+    // handler spills such a line like any other.
     if (mc.coherencePolicy() && mc.coherencePolicy()->isMigratory(line)) {
         std::vector<NodeId> hw;
         ldir->sharers(line, hw);
@@ -114,23 +115,10 @@ roReadOverflowSoftware(HomeCtx &c)
     }
 
     std::vector<NodeId> spilled;
-    ldir->spillPointers(line, spilled);
-    mc.softwareTable().addSharers(line, spilled);
+    const MetaState meta = mc.spillOverflow(line, src, spilled);
     mc.noteReadTrapTaken();
     mc.chargeTrap(mc.protocol().softwareLatency, src, line);
-
-    if (mc.protocol().trapOnWrite) {
-        // Trap-On-Write optimization: the emptied pointer array lets the
-        // controller absorb further reads in hardware.
-        const DirAdd r2 = mc.directory().tryAdd(line, src);
-        assert(r2 != DirAdd::overflow);
-        (void)r2;
-        ldir->setMeta(line, MetaState::trapOnWrite);
-    } else {
-        // Ablation D1: leave the line fully software-handled.
-        mc.softwareTable().addSharer(line, src);
-        ldir->setMeta(line, MetaState::trapAlways);
-    }
+    ldir->setMeta(line, meta);
     mc.sendReadData(src, line);
 }
 
@@ -160,31 +148,13 @@ roWriteGather(HomeCtx &c)
     const NodeId src = c.src();
     mc.noteWrite();
 
-    std::vector<NodeId> all;
-    ldir->sharers(line, all);
-    mc.softwareTable().sharers(line, all);
-    std::sort(all.begin(), all.end());
-    all.erase(std::unique(all.begin(), all.end()), all.end());
-    std::vector<NodeId> others;
-    for (NodeId n : all)
-        if (n != src)
-            others.push_back(n);
-    mc.noteWorkerSet(others.size() + 1);
-
     // Trap-Always lines stay software-handled (profiling / ablation D1)
     // and keep accumulating their access profile across writes.
     const bool sticky = ldir->meta(line) == MetaState::trapAlways;
-    if (sticky) {
-        mc.profileTable().addSharers(line, all);
-        mc.profileTable().addSharer(line, src);
-    }
-    mc.softwareTable().free(line);
-    ldir->clear(line);
+    std::vector<NodeId> others;
+    mc.gatherWrite(line, src, sticky, others);
     ldir->setMeta(line,
                   sticky ? MetaState::trapAlways : MetaState::normal);
-    const DirAdd r = ldir->tryAdd(line, src);
-    assert(r != DirAdd::overflow);
-    (void)r;
 
     mc.noteWriteTrapTaken();
     mc.chargeTrap(mc.protocol().softwareLatency, src, line);
@@ -225,10 +195,17 @@ rwWriteProfiled(HomeCtx &c)
 
 /**
  * Paper Table 4, run before the FSM proper: Trans-In-Progress lines
- * interlock (BUSY) their requests; Trap-On-Write / Trap-Always packets
- * are diverted to the software handler. Returns true when the packet
- * was consumed. The stall approximation emulates traps inline and never
- * leaves Normal-mode processing windows.
+ * interlock (BUSY) their requests; Trap-On-Write writes and evictions
+ * and Trap-Always requests are diverted to the software handler.
+ * Returns true when the packet was consumed. The stall approximation
+ * emulates traps inline and never leaves Normal-mode processing
+ * windows.
+ *
+ * Trap-Always traps requests only, as the inline rows do: the handler
+ * hands every response back to hardware anyway. For the same reason a
+ * response that meets the interlock runs in the hardware table — the
+ * handler writes the line's directory state when the trap starts, and
+ * only its outgoing packets wait for the trap to return.
  */
 bool
 limitlessPreDispatch(HomeCtx &c)
@@ -242,18 +219,19 @@ limitlessPreDispatch(HomeCtx &c)
     const Opcode op = c.pkt->opcode;
     const MetaState meta = ldir->meta(line);
     if (meta == MetaState::transInProgress) {
-        if (opcodeIsHomeRequest(op)) {
-            mc.sendBusy(c.src(), line);
-            return true;
-        }
-        panic("home %u: response %s for interlocked line %#llx",
-              mc.nodeId(), opcodeName(op), (unsigned long long)line);
+        if (!opcodeIsHomeRequest(op))
+            return false;
+        mc.sendBusy(c.src(), line);
+        return true;
     }
     const bool trap_write =
         meta == MetaState::trapOnWrite &&
         (op == Opcode::WREQ || op == Opcode::UPDATE ||
          op == Opcode::REPM);
-    if (meta == MetaState::trapAlways || trap_write) {
+    const bool trap_always =
+        meta == MetaState::trapAlways &&
+        (op == Opcode::RREQ || op == Opcode::WREQ);
+    if (trap_always || trap_write) {
         if (op == Opcode::WREQ)
             mc.noteWrite();
         else if (op == Opcode::RREQ)

@@ -78,6 +78,23 @@ HomeCore::sharers(Addr line, std::vector<NodeId> &out) const
     out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
+MetaState
+HomeCore::spillOverflow(Addr line, NodeId reader,
+                        std::vector<NodeId> &spilled)
+{
+    assert(_ldir && "pointer spill on a non-LimitLESS home");
+    _ldir->spillPointers(line, spilled);
+    _swTable.addSharers(line, spilled);
+    if (_proto.trapOnWrite) {
+        const DirAdd r = _ldir->tryAdd(line, reader);
+        assert(r != DirAdd::overflow);
+        (void)r;
+        return MetaState::trapOnWrite;
+    }
+    _swTable.addSharer(line, reader);
+    return MetaState::trapAlways;
+}
+
 std::size_t
 HomeCore::workerSetSize(Addr line) const
 {

@@ -193,6 +193,18 @@ class HomeCore
     void sharers(Addr line, std::vector<NodeId> &out) const;
 
     /**
+     * The LimitLESS pointer-overflow software (paper §4.4), for both
+     * emulation modes and both levels: empty the hardware pointers into
+     * the line's software vector (appending them to @p spilled), then
+     * admit @p reader — as a hardware pointer under Trap-On-Write, so
+     * hardware absorbs further reads, or as a vector bit under
+     * Trap-Always. Returns the meta state the line takes; the caller
+     * writes it when its trap completes.
+     */
+    MetaState spillOverflow(Addr line, NodeId reader,
+                            std::vector<NodeId> &spilled);
+
+    /**
      * Size of the line's current worker set (the sharer union; the
      * chained global home counts its chain). O(sharers); telemetry-only,
      * never on the un-instrumented hot path.

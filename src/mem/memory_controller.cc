@@ -99,7 +99,7 @@ MemoryController::checkpoint(std::ostream &os) const
             if (hl.evictVictim != invalidNode)
                 os << ",e" << hl.evictVictim;
             if (hl.updWrite || hl.updApply)
-                os << ",u" << hl.updWrite << hl.updSilent << hl.updApply
+                os << ",u" << hl.updWrite << hl.updApply
                    << "." << hl.updWord << "." << int(hl.updKind) << "."
                    << hl.updValue << "." << hl.updOld;
             if (hl.pendingUncached)
@@ -163,6 +163,29 @@ MemoryController::divertToHandler(PacketPtr pkt)
         FlightRecorder::instance().txn().onTrapEnqueue(*pkt, _self,
                                                        _eq.now());
     _divert(std::move(pkt));
+}
+
+std::size_t
+MemoryController::gatherWrite(Addr line, NodeId writer, bool sticky,
+                              std::vector<NodeId> &others)
+{
+    assert(_ldir && "write gather on a non-LimitLESS home");
+    std::vector<NodeId> all;
+    sharers(line, all);
+    for (NodeId n : all)
+        if (n != writer)
+            others.push_back(n);
+    noteWorkerSet(others.size() + 1);
+    if (sticky) {
+        _profile.addSharers(line, all);
+        _profile.addSharer(line, writer);
+    }
+    _swTable.free(line);
+    _ldir->clear(line);
+    const DirAdd r = _ldir->tryAdd(line, writer);
+    assert(r != DirAdd::overflow);
+    (void)r;
+    return all.size();
 }
 
 void

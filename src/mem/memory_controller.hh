@@ -82,6 +82,19 @@ class MemoryController : public HomeCore
     /** Hand a packet to the software trap handler (full emulation). */
     void divertToHandler(PacketPtr pkt);
 
+    /**
+     * The LimitLESS write-gather software (paper §4.4), for both
+     * emulation modes: collect the line's worker set (hardware pointers
+     * plus software vector), record the worker-set statistic and, on a
+     * @p sticky (Trap-Always) line, the access profile; free the
+     * vector, clear the pointers and admit @p writer as the sole
+     * pointer. Appends every sharer but @p writer to @p others (the
+     * copies to invalidate) and returns the worker set's size. The
+     * caller writes the meta state and starts the write transaction.
+     */
+    std::size_t gatherWrite(Addr line, NodeId writer, bool sticky,
+                            std::vector<NodeId> &others);
+
     /** @name Statistics hooks for transition actions. */
     /// @{
     void noteWriteUpdate() { _statWriteUpdates += 1; }
@@ -137,9 +150,6 @@ class MemoryController : public HomeCore
     /** Current memory contents of a line (zero-filled on first touch). */
     const LineWords &readLine(Addr line) { return lineWords(line); }
     void writeLine(Addr line, const std::vector<std::uint64_t> &words);
-
-    /** Trap handler send path (protocol packets launched via IPI). */
-    void sendFromHandler(PacketPtr pkt) { _send(std::move(pkt)); }
 
     /** Trap-accounting hooks so overflowFraction() covers both modes. */
     void noteReadTrap(Tick cycles);

@@ -53,9 +53,12 @@ const char *cacheStateName(CacheState s);
 enum class MetaState : std::uint8_t
 {
     normal,          ///< handled by hardware
-    transInProgress, ///< interlock: software processing in progress
+    transInProgress, ///< interlock: BUSY requests, responses to hardware
     trapOnWrite,     ///< trap for WREQ, UPDATE and REPM; reads in hardware
-    trapAlways,      ///< trap for all incoming protocol packets
+    /** Trap for every request (RREQ, WREQ). Table 4 traps all incoming
+     *  packets; the handler would return each response to hardware, so
+     *  responses run there directly. */
+    trapAlways,
 };
 
 const char *metaStateName(MetaState m);

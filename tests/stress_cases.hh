@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <functional>
 #include <sstream>
 #include <string>
@@ -33,6 +34,28 @@ struct FuzzCase
     unsigned nodes;
     std::uint64_t seed;
 };
+
+/** @p s spelled for a ctest name: every character that is not a letter
+ *  or digit becomes '_'. */
+inline std::string
+ctestName(std::string s)
+{
+    for (char &c : s)
+        if (!isalnum(static_cast<unsigned char>(c)))
+            c = '_';
+    return s;
+}
+
+/** The case's ctest name: protocol (with "_ta" under Trap-Always),
+ *  machine size and seed. */
+inline std::string
+fuzzCaseName(const FuzzCase &fc)
+{
+    std::ostringstream os;
+    os << fc.proto.name() << (fc.proto.trapOnWrite ? "" : " ta") << "_"
+       << fc.nodes << "n_s" << fc.seed;
+    return ctestName(os.str());
+}
 
 /** The fuzz tier's machine: the case's protocol, size and seed with a
  *  tiny cache, so replacements and spurious INVs exercise the rare
@@ -108,6 +131,11 @@ fuzzCases()
         for (unsigned nodes : {4u, 9u, 16u})
             cases.push_back(FuzzCase{proto, nodes,
                                      rng.range(1, 1u << 20)});
+    // Trap-Always under full emulation: every request to an overflowed
+    // line goes through the trap handler, and every response past it.
+    ProtocolParams trapAlways = protocols::limitlessEmulated(2);
+    trapAlways.trapOnWrite = false;
+    cases.push_back(FuzzCase{trapAlways, 16, rng.range(1, 1u << 20)});
     return cases;
 }
 
@@ -134,11 +162,7 @@ propertyCaseName(const PropertyCase &pc)
         os << "_c" << pc.cluster;
     if (pc.hier)
         os << "_hier";
-    std::string s = os.str();
-    for (char &c : s)
-        if (!isalnum(static_cast<unsigned char>(c)))
-            c = '_';
-    return s;
+    return ctestName(os.str());
 }
 
 /**

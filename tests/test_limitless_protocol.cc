@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "harness/experiment.hh"
@@ -322,6 +324,192 @@ TEST(TrapWindowRace, RequestsDuringHandlerOwnershipAreBusyNacked)
     h.mc.limitlessDir()->setMeta(h.line(), MetaState::normal);
     h.inject(Opcode::RREQ, 2);
     EXPECT_EQ(h.count(Opcode::RDATA, 2), 1u);
+}
+
+// ------------------------------------------------------- Cross-mode
+
+/**
+ * Two LimitLESS homes run one request sequence: one emulates each trap
+ * inline (stall approximation), the other diverts it to a
+ * LimitlessHandler, whose packet batch is delivered and whose meta
+ * state is restored as soon as it returns (the trap dispatcher's job,
+ * without its timing). The software extension is written once, so
+ * after every trap both homes must hold the same directory.
+ */
+struct CrossModeHarness
+{
+    EventQueue eq;
+    AddressMap amap{8, 16};
+    MemoryController stall;
+    MemoryController emu;
+    LimitlessHandler handler;
+    std::vector<PacketPtr> stallSent;
+    std::vector<PacketPtr> emuSent;
+    std::vector<PacketPtr> diverted;
+
+    static ProtocolParams
+    proto(LimitlessMode mode, bool trap_on_write)
+    {
+        ProtocolParams p = protocols::limitlessStall(2, 50);
+        p.limitlessMode = mode;
+        p.trapOnWrite = trap_on_write;
+        return p;
+    }
+
+    explicit CrossModeHarness(bool trap_on_write)
+        : stall(eq, 0, amap,
+                proto(LimitlessMode::stallApprox, trap_on_write),
+                MemParams{}),
+          emu(eq, 0, amap,
+              proto(LimitlessMode::fullEmulation, trap_on_write),
+              MemParams{}),
+          handler(eq, emu)
+    {
+        stall.setSend(
+            [this](PacketPtr p) { stallSent.push_back(std::move(p)); });
+        stall.setTrapStall([](Tick) {});
+        stall.setDivert([](PacketPtr) { FAIL() << "stall divert"; });
+        emu.setSend(
+            [this](PacketPtr p) { emuSent.push_back(std::move(p)); });
+        emu.setDivert(
+            [this](PacketPtr p) { diverted.push_back(std::move(p)); });
+    }
+
+    Addr line(std::uint64_t slot) const { return amap.addrOnNode(0, slot); }
+
+    /** Deliver one packet to both homes and run the handler on what
+     *  the emulating home diverts. */
+    void
+    inject(Opcode op, NodeId src, Addr a)
+    {
+        stall.enqueue(makeProtocolPacket(src, 0, op, a));
+        emu.enqueue(makeProtocolPacket(src, 0, op, a));
+        eq.run();
+        while (!diverted.empty()) {
+            PacketPtr pkt = std::move(diverted.front());
+            diverted.erase(diverted.begin());
+            std::vector<PacketPtr> out;
+            MetaState restore = MetaState::normal;
+            handler.handlePacket(*pkt, out, restore);
+            for (PacketPtr &p : out)
+                emuSent.push_back(std::move(p));
+            handler.finishLine(pkt->addr(), restore);
+            eq.run();
+        }
+    }
+
+    /** Both homes set a line's meta state (as a profiler marks it). */
+    void
+    setMeta(Addr a, MetaState m)
+    {
+        stall.limitlessDir()->setMeta(a, m);
+        emu.limitlessDir()->setMeta(a, m);
+    }
+
+    static std::vector<NodeId>
+    sorted(std::vector<NodeId> v)
+    {
+        std::sort(v.begin(), v.end());
+        return v;
+    }
+
+    static std::vector<std::pair<Opcode, NodeId>>
+    sends(const std::vector<PacketPtr> &sent)
+    {
+        std::vector<std::pair<Opcode, NodeId>> out;
+        for (const PacketPtr &p : sent)
+            out.emplace_back(p->opcode, p->dest);
+        return out;
+    }
+
+    /** Both homes hold the same pointers, software vector, profile,
+     *  meta state and line state, and have sent the same packets. */
+    void
+    expectSameDirectory(Addr a, const char *step)
+    {
+        SCOPED_TRACE(step);
+        std::vector<NodeId> s, e;
+        stall.directory().sharers(a, s);
+        emu.directory().sharers(a, e);
+        EXPECT_EQ(sorted(s), sorted(e)) << "pointers";
+        s.clear();
+        e.clear();
+        stall.softwareTable().sharers(a, s);
+        emu.softwareTable().sharers(a, e);
+        EXPECT_EQ(s, e) << "software vector";
+        s.clear();
+        e.clear();
+        stall.profileTable().sharers(a, s);
+        emu.profileTable().sharers(a, e);
+        EXPECT_EQ(s, e) << "profile";
+        EXPECT_EQ(stall.limitlessDir()->meta(a), emu.limitlessDir()->meta(a));
+        EXPECT_EQ(stall.lineState(a), emu.lineState(a));
+        EXPECT_EQ(stall.ackCounter(a), emu.ackCounter(a));
+        EXPECT_EQ(sends(stallSent), sends(emuSent));
+    }
+};
+
+/** Reads past the pointer limit, a Trap-Always read of a Read-Only
+ *  line, then write gathers on a sticky and on a plain line, and a
+ *  Trap-Always read of the sticky line once it is held dirty. */
+void
+runCrossModeSequence(bool trap_on_write)
+{
+    CrossModeHarness h(trap_on_write);
+    const Addr a = h.line(0);
+    const Addr b = h.line(1);
+
+    for (NodeId n : {1, 2, 3})
+        h.inject(Opcode::RREQ, n, a);
+    h.expectSameDirectory(a, "overflow of line a");
+    for (NodeId n : {4, 5, 6})
+        h.inject(Opcode::RREQ, n, b);
+    h.expectSameDirectory(b, "overflow of line b");
+
+    // Line a is Trap-Always: demoted by the overflow itself, or under
+    // Trap-On-Write marked by the profiler.
+    h.setMeta(a, MetaState::trapAlways);
+    h.inject(Opcode::RREQ, 7, a);
+    h.expectSameDirectory(a, "Trap-Always read");
+
+    h.inject(Opcode::WREQ, 1, a);
+    h.expectSameDirectory(a, "sticky write gather");
+    EXPECT_EQ(h.stall.lineState(a), MemState::writeTransaction);
+    for (NodeId n : {2, 3, 7})
+        h.inject(Opcode::ACKC, n, a);
+    h.expectSameDirectory(a, "sticky write granted");
+    EXPECT_EQ(h.stall.lineState(a), MemState::readWrite);
+    EXPECT_EQ(h.stall.limitlessDir()->meta(a), MetaState::trapAlways);
+    // A Trap-Always read of the line now held dirty recalls it through
+    // the hardware path, and the owner's data answers in hardware.
+    h.inject(Opcode::RREQ, 2, a);
+    h.expectSameDirectory(a, "Trap-Always recall");
+    h.stall.enqueue(makeDataPacket(1, 0, Opcode::UPDATE, a, {9, 9}));
+    h.emu.enqueue(makeDataPacket(1, 0, Opcode::UPDATE, a, {9, 9}));
+    h.eq.run();
+    h.expectSameDirectory(a, "Trap-Always recall answered");
+    EXPECT_EQ(h.stall.lineState(a), MemState::readOnly);
+
+    // Line b gathers as a plain Trap-On-Write line.
+    h.setMeta(b, MetaState::trapOnWrite);
+    h.inject(Opcode::WREQ, 4, b);
+    h.expectSameDirectory(b, "plain write gather");
+    for (NodeId n : {5, 6})
+        h.inject(Opcode::ACKC, n, b);
+    h.expectSameDirectory(b, "plain write granted");
+    EXPECT_EQ(h.stall.lineState(b), MemState::readWrite);
+    EXPECT_EQ(h.stall.limitlessDir()->meta(b), MetaState::normal);
+    EXPECT_FALSE(h.stall.softwareTable().has(b));
+}
+
+TEST(LimitlessCrossMode, SameDirectoryUnderTrapOnWrite)
+{
+    runCrossModeSequence(/*trap_on_write=*/true);
+}
+
+TEST(LimitlessCrossMode, SameDirectoryUnderTrapAlways)
+{
+    runCrossModeSequence(/*trap_on_write=*/false);
 }
 
 TEST(LimitlessEmulation, EffectiveTrapCostIsInThePaperRange)

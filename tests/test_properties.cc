@@ -21,11 +21,7 @@ namespace limitless
 std::string
 protocolName(const testing::TestParamInfo<ProtocolParams> &info)
 {
-    std::string s = info.param.name();
-    for (char &c : s)
-        if (!isalnum(static_cast<unsigned char>(c)))
-            c = '_';
-    return s;
+    return ctestName(info.param.name());
 }
 
 // Without a PrintTo gtest prints the raw bytes of the parameter into

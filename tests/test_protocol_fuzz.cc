@@ -26,6 +26,16 @@
 
 namespace limitless
 {
+
+// The ctest name of a fuzz case is the name caseName builds, not the
+// raw bytes of the struct (padding included) gtest prints without this
+// PrintTo, which must sit in FuzzCase's namespace for lookup to find it.
+void
+PrintTo(const FuzzCase &fc, std::ostream *os)
+{
+    *os << fuzzCaseName(fc);
+}
+
 namespace
 {
 
@@ -41,6 +51,8 @@ protocolFlag(const ProtocolParams &p)
         os << "limitless" << p.pointers;
         if (p.limitlessMode == LimitlessMode::fullEmulation)
             os << " --emulate";
+        if (!p.trapOnWrite)
+            os << " --no-trap-on-write";
         break;
       case ProtocolKind::chained: os << "chained"; break;
       case ProtocolKind::privateOnly: os << "private-only"; break;
@@ -94,14 +106,7 @@ class ProtocolFuzz : public testing::TestWithParam<FuzzCase>
 std::string
 caseName(const testing::TestParamInfo<FuzzCase> &info)
 {
-    std::ostringstream os;
-    os << info.param.proto.name() << "_" << info.param.nodes << "n_s"
-       << info.param.seed;
-    std::string s = os.str();
-    for (char &c : s)
-        if (!isalnum(static_cast<unsigned char>(c)))
-            c = '_';
-    return s;
+    return fuzzCaseName(info.param);
 }
 
 TEST_P(ProtocolFuzz, ObservedTransitionsAreDeclared)

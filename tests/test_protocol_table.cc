@@ -77,23 +77,27 @@ declaredPairs(const TableInfo &t)
  *  (full-map, limited, limitless, private); @p evict adds the limited /
  *  limitless pointer-eviction state. @p private_only swaps the
  *  Read-Write RREQ/WREQ pairs (no second cacher can send them) for the
- *  RUNC recall of a remote read, and adds the RUNC defers. No state
- *  but a transaction takes an ACKC. */
+ *  recalls of a remote read (RUNC) and write (WUPD), and adds the
+ *  RUNC and Read-Transaction WUPD defers. No state but a transaction
+ *  takes an ACKC, and in the other schemes a WUPD, which only an
+ *  update-mode line sends, never meets a line held exclusively. */
 PairSet
 pointerHomePairs(bool evict, bool private_only)
 {
     PairSet s;
     for (Opcode op : {Opcode::RREQ, Opcode::WREQ, Opcode::WUPD})
         s.insert({hRO, op});
-    for (Opcode op : {Opcode::WUPD, Opcode::REPM})
-        s.insert({hRW, op});
+    s.insert({hRW, Opcode::REPM});
     for (std::uint8_t st : {hRT, hWT})
-        for (Opcode op : {Opcode::RREQ, Opcode::WREQ, Opcode::WUPD,
-                          Opcode::UPDATE, Opcode::REPM, Opcode::ACKC})
+        for (Opcode op : {Opcode::RREQ, Opcode::WREQ, Opcode::UPDATE,
+                          Opcode::REPM, Opcode::ACKC})
             s.insert({st, op});
+    s.insert({hWT, Opcode::WUPD});
     if (private_only) {
         for (std::uint8_t st : {hRO, hRW, hRT, hWT})
             s.insert({st, Opcode::RUNC});
+        s.insert({hRW, Opcode::WUPD});
+        s.insert({hRT, Opcode::WUPD});
     } else {
         s.insert({hRW, Opcode::RREQ});
         s.insert({hRW, Opcode::WREQ});

@@ -1,10 +1,10 @@
 /**
  * @file
  * Directed memory-FSM tests for the reproduction's extension opcodes:
- * WUPD (write-update) in every reachable state, the silent (kernel)
- * variant, and RUNC (uncached read) including the dirty-line recall.
- * RUNC runs on the private-only home, the one scheme whose table
- * declares it.
+ * WUPD (write-update) in every reachable state, and RUNC (uncached
+ * read) including the dirty-line recall. RUNC and the WUPD recall of a
+ * dirty line run on the private-only home, the one scheme whose table
+ * declares them.
  */
 
 #include <gtest/gtest.h>
@@ -49,14 +49,12 @@ struct Harness
 
     void
     wupd(NodeId src, Addr a, unsigned word, MemOpKind kind,
-         std::uint64_t value, bool silent = false)
+         std::uint64_t value)
     {
         auto pkt = makeProtocolPacket(src, 0, Opcode::WUPD, a);
         pkt->operands.push_back(word);
         pkt->operands.push_back(static_cast<std::uint64_t>(kind));
         pkt->operands.push_back(value);
-        if (silent)
-            pkt->operands.push_back(1);
         inject(std::move(pkt));
     }
 
@@ -136,20 +134,13 @@ TEST(WupdFsm, SharersAreRefreshedAndAckedBeforeTheWack)
     EXPECT_TRUE(h.mc.directory().contains(h.line(), 2));
 }
 
-TEST(WupdFsm, SilentVariantSuppressesTheWack)
+TEST(WupdFsm, PrivateOnlyRemoteWriteRecallsTheHomeNodesCopy)
 {
-    Harness h;
-    h.wupd(2, h.line(), 0, MemOpKind::store, 5, /*silent=*/true);
-    EXPECT_EQ(h.count(Opcode::WACK), 0u);
-    EXPECT_EQ(h.mc.readLine(h.line())[0], 5u);
-}
-
-/** A WUPD against a line @p owner holds dirty recalls the data, then
- *  applies the write to it. */
-void
-expectDirtyLineRecalledThenApplied(ProtocolParams proto, NodeId owner)
-{
-    Harness h(proto);
+    // Only the home node (0) caches a private-only line. A WUPD against
+    // the line it holds dirty recalls the data, then applies the write
+    // to it.
+    const NodeId owner = 0;
+    Harness h(privateOnly());
     h.inject(makeProtocolPacket(owner, 0, Opcode::WREQ, h.line()));
     ASSERT_EQ(h.mc.lineState(h.line()), MemState::readWrite);
     h.sent.clear();
@@ -163,42 +154,6 @@ expectDirtyLineRecalledThenApplied(ProtocolParams proto, NodeId owner)
     EXPECT_EQ(h.lastOf(Opcode::WACK)->operands.at(1), 100u)
         << "old value comes from the recalled data";
     EXPECT_EQ(h.mc.readLine(h.line())[0], 110u);
-    EXPECT_EQ(h.mc.lineState(h.line()), MemState::readOnly);
-}
-
-TEST(WupdFsm, DirtyLineIsRecalledThenApplied)
-{
-    expectDirtyLineRecalledThenApplied(protocols::fullMap(), 1);
-}
-
-TEST(WupdFsm, PrivateOnlyRemoteWriteRecallsTheHomeNodesCopy)
-{
-    // Only the home node (0) caches a private-only line.
-    expectDirtyLineRecalledThenApplied(privateOnly(), 0);
-}
-
-TEST(WupdFsm, StoreBackWaitsOutAReadRecall)
-{
-    // A kernel store-back (silent WUPD) lands while a reader's recall
-    // of the dirty line is open: it is parked, then refreshes the
-    // reader's new copy once the owner's data is in.
-    Harness h;
-    h.inject(makeProtocolPacket(1, 0, Opcode::WREQ, h.line()));
-    h.inject(makeProtocolPacket(2, 0, Opcode::RREQ, h.line()));
-    ASSERT_EQ(h.mc.lineState(h.line()), MemState::readTransaction);
-    h.wupd(0, h.line(), 1, MemOpKind::store, 55, /*silent=*/true);
-    EXPECT_EQ(h.mc.lineState(h.line()), MemState::readTransaction);
-    EXPECT_EQ(h.count(Opcode::MUPD), 0u) << "parked behind the recall";
-    h.inject(makeDataPacket(1, 0, Opcode::UPDATE, h.line(), {100, 7}));
-    ASSERT_EQ(h.count(Opcode::RDATA, 2), 1u);
-    EXPECT_EQ(h.lastOf(Opcode::RDATA)->data[1], 7u)
-        << "the reader gets the owner's data";
-    ASSERT_EQ(h.count(Opcode::MUPD, 2), 1u);
-    EXPECT_EQ(h.lastOf(Opcode::MUPD)->data[1], 55u);
-    h.inject(makeProtocolPacket(2, 0, Opcode::ACKC, h.line()));
-    EXPECT_EQ(h.count(Opcode::WACK), 0u);
-    EXPECT_EQ(h.mc.readLine(h.line())[0], 100u);
-    EXPECT_EQ(h.mc.readLine(h.line())[1], 55u);
     EXPECT_EQ(h.mc.lineState(h.line()), MemState::readOnly);
 }
 

@@ -298,12 +298,21 @@ main(int argc, char **argv)
         // docs/CHECKER.md).
         {
             // Trap-Always (no Trap-On-Write): after an overflow every
-            // request traps, driving the ro_sw_read row.
+            // request traps, driving the ro_sw_read row. Under full
+            // emulation the trap handler takes those requests while the
+            // responses run in hardware, also through the handler's
+            // interlock (the cache's BUSY retry); the conflict script
+            // adds the evictions.
             CheckConfig cfg;
             cfg.protocol = protocols::limitlessStall(1, 8);
             cfg.protocol.trapOnWrite = false;
             cfg.script = "smoke";
             cfg.nodes = 3;
+            configs.push_back(cfg);
+            cfg.protocol.limitlessMode = LimitlessMode::fullEmulation;
+            configs.push_back(cfg);
+            cfg.script = "conflict";
+            cfg.lines = 2;
             configs.push_back(cfg);
         }
         // Cluster-interleaved torus configs: a 2x2 torus of two 2-node
