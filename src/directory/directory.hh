@@ -21,6 +21,8 @@
 namespace limitless
 {
 
+struct TraceEvent;
+
 /** Outcome of recording a new sharer. */
 enum class DirAdd
 {
@@ -81,6 +83,17 @@ class DirectoryScheme
      * comparison (paper Section 1: full-map grows O(N^2) in total).
      */
     virtual std::uint64_t bitsPerEntry(unsigned num_nodes) const = 0;
+
+  protected:
+    /** @param self home node the entries live on (invalidNode for a
+     *  directory outside any machine) */
+    explicit DirectoryScheme(NodeId self) : _self(self) {}
+
+    /** A "dir" trace event on @p line at this home, stamped with the
+     *  flight recorder's clock: directories have no clock of their own. */
+    TraceEvent traceEvent(const char *name, Addr line) const;
+
+    NodeId _self;
 };
 
 } // namespace limitless

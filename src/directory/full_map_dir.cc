@@ -8,17 +8,38 @@
 namespace limitless
 {
 
+std::pair<FullMapDir::Bits &, bool>
+FullMapDir::findOrCreate(Addr line)
+{
+    auto [it, created] = _entries.try_emplace(line, _wordsPerEntry);
+    return {it->second, created};
+}
+
 DirAdd
-FullMapDir::tryAdd(Addr line, NodeId n)
+FullMapDir::set(Bits &bits, NodeId n) const
 {
     assert(n < _numNodes);
-    auto [it, created] = _entries.try_emplace(line, Bits(_wordsPerEntry, 0));
-    std::uint64_t &word = it->second[n / 64];
+    std::uint64_t &word = bits[n / 64];
     const std::uint64_t mask = 1ull << (n % 64);
     if (word & mask)
         return DirAdd::present;
     word |= mask;
     return DirAdd::added;
+}
+
+std::size_t
+FullMapDir::count(const Bits &bits)
+{
+    std::size_t n = 0;
+    for (std::uint64_t word : bits)
+        n += std::popcount(word);
+    return n;
+}
+
+DirAdd
+FullMapDir::tryAdd(Addr line, NodeId n)
+{
+    return set(findOrCreate(line).first, n);
 }
 
 bool
@@ -47,12 +68,8 @@ FullMapDir::clear(Addr line)
         return;
     // A clear is the full map's only wholesale transition (ownership
     // change / write fan-out); record how many sharers it dropped.
-    TraceEvent ev;
-    ev.ts = FlightRecorder::instance().now();
-    ev.name = "dir_clear";
-    ev.cat = EventCat::dir;
-    ev.line = line;
-    ev.arg = numSharers(line);
+    TraceEvent ev = traceEvent("dir_clear", line);
+    ev.arg = count(it->second);
     ev.hasArg = true;
     FR_RECORD(ev);
     _entries.erase(it);
@@ -78,12 +95,7 @@ std::size_t
 FullMapDir::numSharers(Addr line) const
 {
     auto it = _entries.find(line);
-    if (it == _entries.end())
-        return 0;
-    std::size_t n = 0;
-    for (unsigned w = 0; w < _wordsPerEntry; ++w)
-        n += std::popcount(it->second[w]);
-    return n;
+    return it == _entries.end() ? 0 : count(it->second);
 }
 
 void
@@ -92,8 +104,7 @@ FullMapDir::occupancy(DirOccupancy &out) const
     out.entries += _entries.size();
     for (const auto &[line, bits] : _entries) {
         (void)line;
-        for (unsigned w = 0; w < _wordsPerEntry; ++w)
-            out.pointersUsed += std::popcount(bits[w]);
+        out.pointersUsed += count(bits);
         out.pointerSlots += _numNodes;
     }
 }

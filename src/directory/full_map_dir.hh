@@ -2,12 +2,16 @@
  * @file
  * Full-map directory (Censier & Feautrier): one presence bit per node per
  * line. Never overflows; total storage grows as O(N * memory).
+ *
+ * The bit-vector code here is also the LimitLESS trap handler's software
+ * table (SoftwareDirTable adds only its allocation accounting).
  */
 
 #ifndef LIMITLESS_DIRECTORY_FULL_MAP_DIR_HH
 #define LIMITLESS_DIRECTORY_FULL_MAP_DIR_HH
 
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "directory/directory.hh"
@@ -19,8 +23,9 @@ namespace limitless
 class FullMapDir : public DirectoryScheme
 {
   public:
-    explicit FullMapDir(unsigned num_nodes)
-        : _numNodes(num_nodes), _wordsPerEntry((num_nodes + 63) / 64)
+    explicit FullMapDir(unsigned num_nodes, NodeId self = invalidNode)
+        : DirectoryScheme(self), _numNodes(num_nodes),
+          _wordsPerEntry((num_nodes + 63) / 64)
     {}
 
     DirAdd tryAdd(Addr line, NodeId n) override;
@@ -40,8 +45,18 @@ class FullMapDir : public DirectoryScheme
         return num_nodes;
     }
 
-  private:
+  protected:
     using Bits = std::vector<std::uint64_t>;
+
+    /** The line's vector, allocated all-clear on first use, and whether
+     *  this call allocated it. */
+    std::pair<Bits &, bool> findOrCreate(Addr line);
+
+    /** Set @p n's presence bit. */
+    DirAdd set(Bits &bits, NodeId n) const;
+
+    /** Presence bits set in @p bits. */
+    static std::size_t count(const Bits &bits);
 
     unsigned _numNodes;
     unsigned _wordsPerEntry;

@@ -1,45 +1,17 @@
 #include "directory/limited_dir.hh"
 
-#include <algorithm>
-
 #include "obs/flight_recorder.hh"
 
 namespace limitless
 {
 
-LimitedDir::Entry *
-LimitedDir::find(Addr line)
-{
-    auto it = _entries.find(line);
-    return it == _entries.end() ? nullptr : &it->second;
-}
-
-const LimitedDir::Entry *
-LimitedDir::find(Addr line) const
-{
-    auto it = _entries.find(line);
-    return it == _entries.end() ? nullptr : &it->second;
-}
-
-LimitedDir::Entry &
-LimitedDir::findOrCreate(Addr line)
-{
-    return _entries.try_emplace(line).first->second;
-}
-
 DirAdd
-LimitedDir::tryAdd(Addr line, NodeId n)
+LimitedDir::addPointer(Entry &e, Addr line, NodeId n)
 {
-    Entry &e = findOrCreate(line);
-    for (unsigned i = 0; i < e.used; ++i)
-        if (e.ptr[i] == n)
-            return DirAdd::present;
+    if (e.holds(n))
+        return DirAdd::present;
     if (e.used >= _pointers) {
-        TraceEvent ev;
-        ev.ts = FlightRecorder::instance().now();
-        ev.name = "ptr_overflow";
-        ev.cat = EventCat::dir;
-        ev.line = line;
+        TraceEvent ev = traceEvent("ptr_overflow", line);
         ev.src = n;
         ev.arg = e.used;
         ev.hasArg = true;
@@ -50,28 +22,24 @@ LimitedDir::tryAdd(Addr line, NodeId n)
     return DirAdd::added;
 }
 
+DirAdd
+LimitedDir::tryAdd(Addr line, NodeId n)
+{
+    return addPointer(findOrCreate(line), line, n);
+}
+
 bool
 LimitedDir::canAdd(Addr line, NodeId n) const
 {
     const Entry *e = find(line);
-    if (!e)
-        return true;
-    for (unsigned i = 0; i < e->used; ++i)
-        if (e->ptr[i] == n)
-            return true;
-    return e->used < _pointers;
+    return !e || e->used < _pointers || e->holds(n);
 }
 
 bool
 LimitedDir::contains(Addr line, NodeId n) const
 {
     const Entry *e = find(line);
-    if (!e)
-        return false;
-    for (unsigned i = 0; i < e->used; ++i)
-        if (e->ptr[i] == n)
-            return true;
-    return false;
+    return e && e->holds(n);
 }
 
 void
@@ -92,21 +60,17 @@ LimitedDir::remove(Addr line, NodeId n)
 void
 LimitedDir::clear(Addr line)
 {
-    // Keep the entry object (it may carry scheme-specific extra state in
-    // subclasses); just drop the pointers.
-    Entry *e = find(line);
-    if (e)
+    // Keep the entry, whose victim cursor outlives the sharers; just
+    // drop the pointers.
+    if (Entry *e = find(line))
         e->used = 0;
 }
 
 void
 LimitedDir::sharers(Addr line, std::vector<NodeId> &out) const
 {
-    const Entry *e = find(line);
-    if (!e)
-        return;
-    for (unsigned i = 0; i < e->used; ++i)
-        out.push_back(e->ptr[i]);
+    if (const Entry *e = find(line))
+        e->append(out);
 }
 
 std::size_t

@@ -5,121 +5,50 @@
 namespace limitless
 {
 
-namespace
-{
-
-// Directories have no clock of their own; timestamp events off the
-// machine clock the FlightRecorder was registered with.
-TraceEvent
-dirEvent(const char *name, NodeId node, Addr line)
-{
-    FlightRecorder &fr = FlightRecorder::instance();
-    TraceEvent ev;
-    ev.ts = fr.now();
-    ev.name = name;
-    ev.cat = EventCat::dir;
-    ev.node = node;
-    ev.line = line;
-    return ev;
-}
-
-} // namespace
-
-LimitlessDir::Entry *
-LimitlessDir::find(Addr line)
-{
-    auto it = _entries.find(line);
-    return it == _entries.end() ? nullptr : &it->second;
-}
-
-const LimitlessDir::Entry *
-LimitlessDir::find(Addr line) const
-{
-    auto it = _entries.find(line);
-    return it == _entries.end() ? nullptr : &it->second;
-}
-
 DirAdd
 LimitlessDir::tryAdd(Addr line, NodeId n)
 {
-    Entry &e = _entries.try_emplace(line).first->second;
-    if (_useLocalBit && n == _self) {
-        if (e.localBit)
-            return DirAdd::present;
-        e.localBit = true;
-        return DirAdd::added;
-    }
-    for (unsigned i = 0; i < e.used; ++i)
-        if (e.ptr[i] == n)
-            return DirAdd::present;
-    if (e.used >= _pointers) {
-        TraceEvent ev = dirEvent("ptr_overflow", _self, line);
-        ev.src = n;
-        ev.arg = e.used;
-        ev.hasArg = true;
-        FR_RECORD(ev);
-        return DirAdd::overflow;
-    }
-    e.ptr[e.used++] = n;
+    Entry &e = findOrCreate(line);
+    if (!isLocal(n))
+        return addPointer(e, line, n);
+    if (e.localBit)
+        return DirAdd::present;
+    e.localBit = true;
     return DirAdd::added;
 }
 
 bool
 LimitlessDir::canAdd(Addr line, NodeId n) const
 {
-    const Entry *e = find(line);
-    if (!e)
-        return true;
-    if (_useLocalBit && n == _self)
-        return true;
-    for (unsigned i = 0; i < e->used; ++i)
-        if (e->ptr[i] == n)
-            return true;
-    return e->used < _pointers;
+    return isLocal(n) || LimitedDir::canAdd(line, n);
 }
 
 bool
 LimitlessDir::contains(Addr line, NodeId n) const
 {
+    if (!isLocal(n))
+        return LimitedDir::contains(line, n);
     const Entry *e = find(line);
-    if (!e)
-        return false;
-    if (_useLocalBit && n == _self)
-        return e->localBit;
-    for (unsigned i = 0; i < e->used; ++i)
-        if (e->ptr[i] == n)
-            return true;
-    return false;
+    return e && e->localBit;
 }
 
 void
 LimitlessDir::remove(Addr line, NodeId n)
 {
-    Entry *e = find(line);
-    if (!e)
-        return;
-    if (_useLocalBit && n == _self) {
+    if (!isLocal(n))
+        LimitedDir::remove(line, n);
+    else if (Entry *e = find(line))
         e->localBit = false;
-        return;
-    }
-    for (unsigned i = 0; i < e->used; ++i) {
-        if (e->ptr[i] == n) {
-            e->ptr[i] = e->ptr[e->used - 1];
-            --e->used;
-            return;
-        }
-    }
 }
 
 void
 LimitlessDir::clear(Addr line)
 {
-    Entry *e = find(line);
-    if (!e)
-        return;
-    e->used = 0;
-    e->localBit = false;
     // Meta state is controlled explicitly by the FSM / trap handler.
+    if (Entry *e = find(line)) {
+        e->used = 0;
+        e->localBit = false;
+    }
 }
 
 void
@@ -130,17 +59,28 @@ LimitlessDir::sharers(Addr line, std::vector<NodeId> &out) const
         return;
     if (e->localBit)
         out.push_back(_self);
-    for (unsigned i = 0; i < e->used; ++i)
-        out.push_back(e->ptr[i]);
+    e->append(out);
 }
 
 std::size_t
 LimitlessDir::numSharers(Addr line) const
 {
     const Entry *e = find(line);
-    if (!e)
-        return 0;
-    return e->used + (e->localBit ? 1 : 0);
+    return e ? e->used + (e->localBit ? 1 : 0) : 0;
+}
+
+void
+LimitlessDir::occupancy(DirOccupancy &out) const
+{
+    LimitedDir::occupancy(out);
+    // The local bit is one more hardware slot per entry.
+    if (!_useLocalBit)
+        return;
+    out.pointerSlots += _entries.size();
+    for (const auto &[line, e] : _entries) {
+        (void)line;
+        out.pointersUsed += e.localBit ? 1 : 0;
+    }
 }
 
 MetaState
@@ -153,11 +93,11 @@ LimitlessDir::meta(Addr line) const
 void
 LimitlessDir::setMeta(Addr line, MetaState m)
 {
-    Entry &e = _entries.try_emplace(line).first->second;
+    Entry &e = findOrCreate(line);
     e.prevMeta = e.meta;
     e.meta = m;
     if (e.prevMeta != m) {
-        TraceEvent ev = dirEvent("meta", _self, line);
+        TraceEvent ev = traceEvent("meta", line);
         ev.detail = metaStateName(m);
         FR_RECORD(ev);
     }
@@ -176,33 +116,12 @@ LimitlessDir::spillPointers(Addr line, std::vector<NodeId> &out)
     Entry *e = find(line);
     if (!e)
         return;
-    for (unsigned i = 0; i < e->used; ++i)
-        out.push_back(e->ptr[i]);
-    {
-        TraceEvent ev = dirEvent("spill", _self, line);
-        ev.arg = e->used;
-        ev.hasArg = true;
-        FR_RECORD(ev);
-    }
+    e->append(out);
+    TraceEvent ev = traceEvent("spill", line);
+    ev.arg = e->used;
+    ev.hasArg = true;
+    FR_RECORD(ev);
     e->used = 0;
-}
-
-bool
-LimitlessDir::pointersFull(Addr line) const
-{
-    const Entry *e = find(line);
-    return e && e->used >= _pointers;
-}
-
-void
-LimitlessDir::occupancy(DirOccupancy &out) const
-{
-    out.entries += _entries.size();
-    for (const auto &[line, e] : _entries) {
-        (void)line;
-        out.pointersUsed += e.used + (e.localBit ? 1 : 0);
-        out.pointerSlots += _pointers + (_useLocalBit ? 1 : 0);
-    }
 }
 
 } // namespace limitless

@@ -1,31 +1,26 @@
 /**
  * @file
- * LimitLESS hardware directory entry: a limited pointer array extended
- * with the two meta-state bits of paper Table 4 and the Local Bit of
- * paper Section 4.3.
+ * LimitLESS hardware directory entry: the limited directory's p pointers
+ * (LimitedDir, whose entry map and pointer loops this class reuses) plus
+ * the two meta-state bits of paper Table 4 and the Local Bit of paper
+ * Section 4.3.
  *
  * The hardware entry only ever stores up to p pointers; the software side
- * of the scheme (bit vectors in a hash table in the home node's local
- * memory) lives in src/kernel/software_dir.hh and is consulted by the
- * trap handler, not by this class.
+ * of the scheme (full-map bit vectors in a hash table in the home node's
+ * local memory) is SoftwareDirTable (src/kernel/software_dir.hh), consulted
+ * by the trap handler, not by this class.
  */
 
 #ifndef LIMITLESS_DIRECTORY_LIMITLESS_DIR_HH
 #define LIMITLESS_DIRECTORY_LIMITLESS_DIR_HH
 
-#include <array>
-#include <cassert>
-#include <unordered_map>
-
-#include "directory/directory.hh"
 #include "directory/limited_dir.hh"
-#include "proto/states.hh"
 
 namespace limitless
 {
 
 /** LimitLESS hardware directory: pointers + meta state + local bit. */
-class LimitlessDir : public DirectoryScheme
+class LimitlessDir : public LimitedDir
 {
   public:
     /**
@@ -34,10 +29,8 @@ class LimitlessDir : public DirectoryScheme
      * @param use_local_bit reserve a dedicated bit for the home node
      */
     LimitlessDir(NodeId self, unsigned pointers, bool use_local_bit)
-        : _self(self), _pointers(pointers), _useLocalBit(use_local_bit)
-    {
-        assert(pointers >= 1 && pointers <= LimitedDir::maxPointers);
-    }
+        : LimitedDir(pointers, self), _useLocalBit(use_local_bit)
+    {}
 
     DirAdd tryAdd(Addr line, NodeId n) override;
     bool canAdd(Addr line, NodeId n) const override;
@@ -54,12 +47,9 @@ class LimitlessDir : public DirectoryScheme
     bitsPerEntry(unsigned num_nodes) const override
     {
         // p pointers + 2 meta-state bits + 1 local bit.
-        return _pointers * LimitedDir::ceilLog2(num_nodes) + 2 +
+        return LimitedDir::bitsPerEntry(num_nodes) + 2 +
                (_useLocalBit ? 1 : 0);
     }
-
-    unsigned pointers() const { return _pointers; }
-    NodeId self() const { return _self; }
 
     MetaState meta(Addr line) const;
     void setMeta(Addr line, MetaState m);
@@ -76,26 +66,11 @@ class LimitlessDir : public DirectoryScheme
      */
     void spillPointers(Addr line, std::vector<NodeId> &out);
 
-    /** True when the entry's pointer array is completely full. */
-    bool pointersFull(Addr line) const;
-
   private:
-    struct Entry
-    {
-        std::array<NodeId, LimitedDir::maxPointers> ptr{};
-        std::uint8_t used = 0;
-        bool localBit = false;
-        MetaState meta = MetaState::normal;
-        MetaState prevMeta = MetaState::normal;
-    };
+    /** Is @p n's copy tracked by the local bit rather than a pointer? */
+    bool isLocal(NodeId n) const { return _useLocalBit && n == _self; }
 
-    Entry *find(Addr line);
-    const Entry *find(Addr line) const;
-
-    NodeId _self;
-    unsigned _pointers;
     bool _useLocalBit;
-    std::unordered_map<Addr, Entry> _entries;
 };
 
 } // namespace limitless

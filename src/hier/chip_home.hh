@@ -98,8 +98,6 @@ class ChipHomeController : public HomeCore
     void grantRead(NodeId to, Addr line);
     /** Grant exclusive ownership to a local cache out of the chip data. */
     void grantWrite(NodeId to, Addr line);
-    /** Invalidate a local cache's copy (the core's invalidation send). */
-    void sendInvLocal(NodeId to, Addr line) { sendInv(to, line); }
     /** Forward the pending miss to the global home (RREQ/WREQ). */
     void forwardToParent(Addr line, bool write);
     /** Consume a parent data reply: stamp, copy the payload into the

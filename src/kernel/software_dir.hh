@@ -4,6 +4,8 @@
  * vectors that the LimitLESS trap handler keeps in the home node's local
  * memory (paper Section 4.4: "the trap code allocates a full-map
  * bit-vector in local memory. This vector is entered into a hash table").
+ * It is a FullMapDir, the full-map scheme's own bit vectors; this class
+ * adds only the allocation, peak and footprint accounting.
  *
  * Each home directory owns one (HomeCore::softwareTable), at both
  * levels; both LimitLESS models fill it through the one copy of the
@@ -14,33 +16,30 @@
 #define LIMITLESS_KERNEL_SOFTWARE_DIR_HH
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
-#include "sim/types.hh"
+#include "directory/full_map_dir.hh"
 
 namespace limitless
 {
 
 /** Hash table of spilled full-map bit vectors, one per overflowed line. */
-class SoftwareDirTable
+class SoftwareDirTable final : public FullMapDir
 {
   public:
-    explicit SoftwareDirTable(unsigned num_nodes)
-        : _numNodes(num_nodes), _words((num_nodes + 63) / 64)
-    {}
+    explicit SoftwareDirTable(unsigned num_nodes) : FullMapDir(num_nodes) {}
 
-    bool has(Addr line) const { return _vectors.count(line) != 0; }
+    bool has(Addr line) const { return _entries.count(line) != 0; }
 
     /** Set one sharer bit, allocating the vector on first use. */
-    void
-    addSharer(Addr line, NodeId n)
+    DirAdd
+    tryAdd(Addr line, NodeId n) override
     {
-        Bits &bits = vectorFor(line);
-        bits[n / 64] |= 1ull << (n % 64);
+        return set(allocate(line), n);
     }
+
+    void addSharer(Addr line, NodeId n) { tryAdd(line, n); }
 
     /** Spill a batch of hardware pointers into the vector. */
     void
@@ -48,52 +47,15 @@ class SoftwareDirTable
     {
         if (nodes.empty())
             return;
-        Bits &bits = vectorFor(line);
+        Bits &bits = allocate(line);
         for (NodeId n : nodes)
-            bits[n / 64] |= 1ull << (n % 64);
-    }
-
-    bool
-    contains(Addr line, NodeId n) const
-    {
-        auto it = _vectors.find(line);
-        if (it == _vectors.end())
-            return false;
-        return (it->second[n / 64] >> (n % 64)) & 1;
-    }
-
-    /** Append recorded sharers to @p out. */
-    void
-    sharers(Addr line, std::vector<NodeId> &out) const
-    {
-        auto it = _vectors.find(line);
-        if (it == _vectors.end())
-            return;
-        for (unsigned w = 0; w < _words; ++w) {
-            std::uint64_t bits = it->second[w];
-            while (bits) {
-                out.push_back(w * 64 + std::countr_zero(bits));
-                bits &= bits - 1;
-            }
-        }
-    }
-
-    std::size_t
-    numSharers(Addr line) const
-    {
-        auto it = _vectors.find(line);
-        if (it == _vectors.end())
-            return 0;
-        std::size_t n = 0;
-        for (unsigned w = 0; w < _words; ++w)
-            n += std::popcount(it->second[w]);
-        return n;
+            set(bits, n);
     }
 
     /** Free the vector ("The vector may now be freed", paper §4.4). */
-    void free(Addr line) { _vectors.erase(line); }
+    void free(Addr line) { _entries.erase(line); }
 
-    std::size_t entries() const { return _vectors.size(); }
+    std::size_t entries() const { return _entries.size(); }
     std::size_t peakEntries() const { return _peak; }
     std::uint64_t allocations() const { return _allocations; }
 
@@ -101,26 +63,21 @@ class SoftwareDirTable
     std::size_t
     footprintBytes() const
     {
-        return _vectors.size() * (_words * 8 + 16);
+        return _entries.size() * (_wordsPerEntry * 8 + 16);
     }
 
   private:
-    using Bits = std::vector<std::uint64_t>;
-
     Bits &
-    vectorFor(Addr line)
+    allocate(Addr line)
     {
-        auto [it, created] = _vectors.try_emplace(line, Bits(_words, 0));
+        auto [bits, created] = findOrCreate(line);
         if (created) {
             ++_allocations;
-            _peak = std::max(_peak, _vectors.size());
+            _peak = std::max(_peak, _entries.size());
         }
-        return it->second;
+        return bits;
     }
 
-    unsigned _numNodes;
-    unsigned _words;
-    std::unordered_map<Addr, Bits> _vectors;
     std::size_t _peak = 0;
     std::uint64_t _allocations = 0;
 };

@@ -210,7 +210,7 @@ fwInvLocals(ChipCtx &c)
     c.ch.noteParentInv();
     c.cl.ackCtr = static_cast<std::uint32_t>(all.size());
     for (NodeId n : all)
-        c.ch.sendInvLocal(n, line);
+        c.ch.sendInv(n, line);
     c.ch.directory().clear(line);
     c.ch.softwareTable().free(line);
 }
@@ -299,7 +299,7 @@ cPointerEvict(ChipCtx &c)
     c.cl.evictVictim = victim;
     c.cl.pending = src;
     c.cl.pendingIsWrite = false;
-    c.ch.sendInvLocal(victim, line);
+    c.ch.sendInv(victim, line);
 }
 
 /**
@@ -361,7 +361,7 @@ cWriteCore(ChipCtx &c)
     cl.pendingIsWrite = true;
     cl.ackCtr = static_cast<std::uint32_t>(others.size());
     for (NodeId n : others)
-        ch.sendInvLocal(n, line);
+        ch.sendInv(n, line);
     ch.directory().clear(line);
     if (hadCopy)
         addLocalPointer(c, src);
@@ -396,7 +396,7 @@ cParentInv(ChipCtx &c)
     }
     c.cl.ackCtr = static_cast<std::uint32_t>(all.size());
     for (NodeId n : all)
-        ch.sendInvLocal(n, line);
+        ch.sendInv(n, line);
     ch.directory().clear(line);
     ch.softwareTable().free(line);
     if (LimitlessDir *ldir = ch.limitlessDir())
@@ -429,7 +429,7 @@ startLocalRecall(ChipCtx &c, bool for_write)
     cl.parentInvPending = false;
     cl.dataSeen = false;
     cl.ackCtr = 1;
-    ch.sendInvLocal(owner[0], line);
+    ch.sendInv(owner[0], line);
     ch.directory().clear(line);
     cl.state = ChipState::hRecall;
 }
@@ -478,7 +478,7 @@ oParentRecall(ChipCtx &c)
     cl.parentInvPending = true;
     cl.dataSeen = false;
     cl.ackCtr = 1;
-    ch.sendInvLocal(owner[0], line);
+    ch.sendInv(owner[0], line);
     ch.directory().clear(line);
 }
 
@@ -610,7 +610,7 @@ wiParentInv(ChipCtx &c)
     c.cl.parentInvPending = true;
     const std::vector<NodeId> extra = localSharers(c);
     for (NodeId n : extra)
-        ch.sendInvLocal(n, line);
+        ch.sendInv(n, line);
     c.cl.ackCtr += static_cast<std::uint32_t>(extra.size());
     ch.directory().clear(line);
 }
@@ -673,7 +673,7 @@ etParentInv(ChipCtx &c)
                                 cl.evictVictim),
                     remaining.end());
     for (NodeId n : remaining)
-        ch.sendInvLocal(n, line);
+        ch.sendInv(n, line);
     // The victim's ACKC (for the eviction INV) still counts.
     cl.ackCtr = static_cast<std::uint32_t>(remaining.size()) + 1;
     cl.evictVictim = invalidNode;

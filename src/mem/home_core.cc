@@ -38,7 +38,7 @@ HomeCore::HomeCore(const HomeLevel &level, EventQueue &eq, NodeId self,
 {
     switch (_proto.kind) {
       case ProtocolKind::limited:
-        _dir = std::make_unique<LimitedDir>(_proto.pointers);
+        _dir = std::make_unique<LimitedDir>(_proto.pointers, _self);
         break;
       case ProtocolKind::limitless: {
         auto ldir = std::make_unique<LimitlessDir>(_self, _proto.pointers,
@@ -54,7 +54,7 @@ HomeCore::HomeCore(const HomeLevel &level, EventQueue &eq, NodeId self,
         // chip-level chaining is not modelled (docs/HIERARCHY.md), so
         // chained keeps a full map, as does private-only, which tracks
         // only local (home-node) copies.
-        _dir = std::make_unique<FullMapDir>(_amap.numNodes());
+        _dir = std::make_unique<FullMapDir>(_amap.numNodes(), _self);
         break;
     }
 }

@@ -66,6 +66,17 @@ struct ChipHarness
             n += p->opcode == op && p->dest == dest;
         return n;
     }
+
+    /** Has the chip fired a row for (@p state, @p op)? */
+    bool
+    fired(ChipState state, Opcode op) const
+    {
+        bool seen = false;
+        chip.forEachObservedTransition([&](std::uint8_t s, Opcode o) {
+            seen = seen || (s == static_cast<std::uint8_t>(state) && o == op);
+        });
+        return seen;
+    }
 };
 
 TEST(ChipHomeFsm, ChipHomesTheRemoteLine)
@@ -124,6 +135,56 @@ TEST(ChipHomeFsm, LocalRequestsWaitOutAPointerEviction)
     EXPECT_EQ(h.count(Opcode::RDATA, 2), 1u) << "pointer recycled";
     EXPECT_EQ(h.count(Opcode::INV, 2), 1u)
         << "the parked read evicts the next pointer";
+}
+
+/**
+ * The chip owns the line globally and nodes 2 and 3 read it; node 1's
+ * write invalidates them (hWriteInv). Node 0's @p op arrives during the
+ * fan-out: it is parked until the last ACKC grants the write locally,
+ * and then served.
+ */
+void
+expectParkedBehindLocalWrite(const ProtocolParams &proto, Opcode op)
+{
+    ChipHarness h(proto);
+    h.from(1, Opcode::WREQ);
+    h.from(4, Opcode::WDATA);
+    h.from(2, Opcode::RREQ);
+    h.from(1, Opcode::UPDATE);
+    h.from(3, Opcode::RREQ);
+    ASSERT_EQ(h.chip.lineState(h.line), ChipState::hCopy);
+    ASSERT_TRUE(h.chip.lineDirty(h.line)) << "the chip owns the line";
+    ASSERT_EQ(h.count(Opcode::WDATA, 1), 1u);
+    ASSERT_EQ(h.count(Opcode::INV, 1), 1u) << "node 2's read recalled 1";
+
+    h.from(1, Opcode::WREQ);
+    ASSERT_EQ(h.chip.lineState(h.line), ChipState::hWriteInv);
+    EXPECT_EQ(h.count(Opcode::INV, 2) + h.count(Opcode::INV, 3), 2u);
+
+    h.from(0, op);
+    EXPECT_TRUE(h.fired(ChipState::hWriteInv, op));
+    h.from(2, Opcode::ACKC);
+    EXPECT_EQ(h.chip.lineState(h.line), ChipState::hWriteInv);
+    EXPECT_EQ(h.count(Opcode::RDATA, 0) + h.count(Opcode::WDATA, 0), 0u)
+        << "parked";
+
+    h.from(3, Opcode::ACKC);
+    EXPECT_EQ(h.count(Opcode::WDATA, 1), 2u) << "write granted locally";
+    EXPECT_EQ(h.count(Opcode::WREQ, 4), 1u) << "no parent round trip";
+    EXPECT_EQ(h.count(Opcode::INV, 1), 2u)
+        << "the parked request recalls the new owner";
+    EXPECT_EQ(h.chip.lineState(h.line), ChipState::hRecall);
+}
+
+TEST(ChipHomeFsm, FullMapLocalReadWaitsOutALocalWriteFanOut)
+{
+    expectParkedBehindLocalWrite(protocols::fullMap(), Opcode::RREQ);
+}
+
+TEST(ChipHomeFsm, LimitedLocalWriteWaitsOutALocalWriteFanOut)
+{
+    // Two chip pointers hold both readers, so no pointer eviction.
+    expectParkedBehindLocalWrite(protocols::dirNB(2), Opcode::WREQ);
 }
 
 TEST(ChipHomeFsm, ChainedUpgraderMayReplaceItsKeptCopy)

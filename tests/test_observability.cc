@@ -298,6 +298,49 @@ TEST(TraceStream, EmitsValidTraceEventJson)
     std::remove(path.c_str());
 }
 
+/** The number after @p key in one trace line (@p fallback if absent). */
+std::uint64_t
+traceField(const std::string &ev, const std::string &key, int base,
+           std::uint64_t fallback)
+{
+    const std::size_t at = ev.find(key);
+    if (at == std::string::npos)
+        return fallback;
+    return std::stoull(ev.substr(at + key.size()), nullptr, base);
+}
+
+TEST(TraceStream, DirectoryEventsNameTheirHomeNode)
+{
+    // Every scheme's pointer-overflow and clear events land on the
+    // Chrome-trace row (tid) of the home node that owns the line.
+    const std::string path = "trace_dir_home_test.json";
+    FlightRecorder &fr = FlightRecorder::instance();
+    for (const ProtocolParams &proto :
+         {protocols::dirNB(1), protocols::fullMap()}) {
+        fr.latency().reset();
+        ASSERT_TRUE(fr.traceOpen(path));
+        Machine m(small(proto));
+        runSharingScript(m);
+        fr.traceClose();
+
+        std::ifstream in(path);
+        ASSERT_TRUE(in.is_open());
+        std::size_t dir_events = 0;
+        for (std::string ev; std::getline(in, ev);) {
+            if (ev.find("\"cat\":\"dir\"") == std::string::npos)
+                continue;
+            ++dir_events;
+            // A line of 0 is left out of "args".
+            const Addr line = traceField(ev, "\"line\":\"", 16, 0);
+            EXPECT_EQ(traceField(ev, "\"tid\":", 10, invalidNode),
+                      m.addressMap().homeOf(line))
+                << proto.name() << ": " << ev;
+        }
+        EXPECT_GT(dir_events, 0u) << proto.name();
+        std::remove(path.c_str());
+    }
+}
+
 TEST(TraceStream, LineFilterRestrictsStream)
 {
     const std::string path = "trace_filter_test.json";
