@@ -448,19 +448,18 @@ CacheController::checkpoint(std::ostream &os) const
     os << "cache" << _self << "{";
     // Resident lines, in set order (not the pool's fill order, so the
     // fingerprint does not depend on the order sets were first filled).
-    for (std::size_t s = 0; s < _array.numSets(); ++s) {
-        const CacheLine *cl = _array.atSet(s);
-        if (!cl || !cl->valid())
-            continue;
-        os << "L" << std::hex << cl->tag << std::dec << ":"
-           << cacheStateName(cl->state);
-        if (cl->chainNext != invalidNode)
-            os << ">" << cl->chainNext;
+    _array.forEachFilledSet([&](std::size_t, const CacheLine &cl) {
+        if (!cl.valid())
+            return;
+        os << "L" << std::hex << cl.tag << std::dec << ":"
+           << cacheStateName(cl.state);
+        if (cl.chainNext != invalidNode)
+            os << ">" << cl.chainNext;
         os << "=";
         for (unsigned w = 0; w < _amap.wordsPerLine(); ++w)
-            os << cl->words[w] << (w + 1 < _amap.wordsPerLine() ? "," : "");
+            os << cl.words[w] << (w + 1 < _amap.wordsPerLine() ? "," : "");
         os << ";";
-    }
+    });
     // Outstanding transactions, in line order. Timing-only fields
     // (retries, issued tick, remote flag) are excluded on purpose.
     std::map<Addr, const Txn *> ordered;
@@ -490,7 +489,7 @@ CacheController::drainWaiting()
     _drainScheduled = true;
     _eq.schedule(_eq.now(), [this]() {
         _drainScheduled = false;
-        std::deque<WaitingAccess> pending;
+        Ring<WaitingAccess> pending;
         pending.swap(_waiting);
         for (auto &w : pending) {
             bool was_hit = false;

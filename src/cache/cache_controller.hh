@@ -17,7 +17,6 @@
 #ifndef LIMITLESS_CACHE_CACHE_CONTROLLER_HH
 #define LIMITLESS_CACHE_CACHE_CONTROLLER_HH
 
-#include <deque>
 #include <functional>
 #include <iosfwd>
 #include <unordered_map>
@@ -30,6 +29,7 @@
 #include "proto/protocol_params.hh"
 #include "proto/protocol_table.hh"
 #include "sim/event_queue.hh"
+#include "sim/ring.hh"
 #include "sim/rng.hh"
 #include "stats/stats.hh"
 
@@ -210,7 +210,7 @@ class CacheController
 
     const TransitionTable<CacheCtx> *_table = nullptr;
     std::unordered_map<Addr, Txn> _txns;
-    std::deque<WaitingAccess> _waiting;
+    Ring<WaitingAccess> _waiting;
     ObservedTransitions<numCacheStates> _observed;
     bool _drainScheduled = false;
 

@@ -7,7 +7,8 @@
  * distributed through the caches as singly linked forward pointers.
  * Invalidations therefore propagate *sequentially* down the chain, which
  * is exactly the write-latency disadvantage the paper attributes to
- * chained schemes.
+ * chained schemes. List inserts and purges record "dir" trace events on
+ * the home node, as the pointer-set schemes' transitions do.
  */
 
 #ifndef LIMITLESS_DIRECTORY_CHAINED_DIR_HH
@@ -26,6 +27,10 @@ namespace limitless
 class ChainedDir
 {
   public:
+    /** @param self home node the entries live on (invalidNode for a
+     *  directory outside any machine) */
+    explicit ChainedDir(NodeId self = invalidNode) : _self(self) {}
+
     /** Head of the sharing chain, or invalidNode when uncached. */
     NodeId
     head(Addr line) const
@@ -41,19 +46,11 @@ class ChainedDir
         return it == _entries.end() ? 0 : it->second.length;
     }
 
-    void
-    push(Addr line, NodeId new_head)
-    {
-        Entry &e = _entries.try_emplace(line).first->second;
-        e.head = new_head;
-        ++e.length;
-    }
+    /** Make @p new_head the head of the line's chain. */
+    void push(Addr line, NodeId new_head);
 
-    void
-    clear(Addr line)
-    {
-        _entries.erase(line);
-    }
+    /** Dissolve the line's chain. */
+    void clear(Addr line);
 
     /** Directory overhead: one node pointer plus a small count. */
     std::uint64_t
@@ -69,6 +66,7 @@ class ChainedDir
         std::uint32_t length = 0;
     };
 
+    NodeId _self;
     std::unordered_map<Addr, Entry> _entries;
 };
 

@@ -6,13 +6,13 @@ namespace limitless
 {
 
 TraceEvent
-DirectoryScheme::traceEvent(const char *name, Addr line) const
+dirTraceEvent(const char *name, NodeId home, Addr line)
 {
     TraceEvent ev;
     ev.ts = FlightRecorder::instance().now();
     ev.name = name;
     ev.cat = EventCat::dir;
-    ev.node = _self;
+    ev.node = home;
     ev.line = line;
     return ev;
 }

@@ -23,6 +23,10 @@ namespace limitless
 
 struct TraceEvent;
 
+/** A "dir" trace event on @p line at home node @p home, stamped with the
+ *  flight recorder's clock: directories have no clock of their own. */
+TraceEvent dirTraceEvent(const char *name, NodeId home, Addr line);
+
 /** Outcome of recording a new sharer. */
 enum class DirAdd
 {
@@ -88,10 +92,6 @@ class DirectoryScheme
     /** @param self home node the entries live on (invalidNode for a
      *  directory outside any machine) */
     explicit DirectoryScheme(NodeId self) : _self(self) {}
-
-    /** A "dir" trace event on @p line at this home, stamped with the
-     *  flight recorder's clock: directories have no clock of their own. */
-    TraceEvent traceEvent(const char *name, Addr line) const;
 
     NodeId _self;
 };

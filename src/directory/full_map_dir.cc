@@ -68,7 +68,7 @@ FullMapDir::clear(Addr line)
         return;
     // A clear is the full map's only wholesale transition (ownership
     // change / write fan-out); record how many sharers it dropped.
-    TraceEvent ev = traceEvent("dir_clear", line);
+    TraceEvent ev = dirTraceEvent("dir_clear", _self, line);
     ev.arg = count(it->second);
     ev.hasArg = true;
     FR_RECORD(ev);

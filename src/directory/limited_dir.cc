@@ -11,7 +11,7 @@ LimitedDir::addPointer(Entry &e, Addr line, NodeId n)
     if (e.holds(n))
         return DirAdd::present;
     if (e.used >= _pointers) {
-        TraceEvent ev = traceEvent("ptr_overflow", line);
+        TraceEvent ev = dirTraceEvent("ptr_overflow", _self, line);
         ev.src = n;
         ev.arg = e.used;
         ev.hasArg = true;

@@ -97,7 +97,7 @@ LimitlessDir::setMeta(Addr line, MetaState m)
     e.prevMeta = e.meta;
     e.meta = m;
     if (e.prevMeta != m) {
-        TraceEvent ev = traceEvent("meta", line);
+        TraceEvent ev = dirTraceEvent("meta", _self, line);
         ev.detail = metaStateName(m);
         FR_RECORD(ev);
     }
@@ -117,7 +117,7 @@ LimitlessDir::spillPointers(Addr line, std::vector<NodeId> &out)
     if (!e)
         return;
     e->append(out);
-    TraceEvent ev = traceEvent("spill", line);
+    TraceEvent ev = dirTraceEvent("spill", _self, line);
     ev.arg = e->used;
     ev.hasArg = true;
     FR_RECORD(ev);

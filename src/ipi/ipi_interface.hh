@@ -15,11 +15,11 @@
 #ifndef LIMITLESS_IPI_IPI_INTERFACE_HH
 #define LIMITLESS_IPI_IPI_INTERFACE_HH
 
-#include <deque>
 #include <functional>
 
 #include "proto/packet.hh"
 #include "sim/event_queue.hh"
+#include "sim/ring.hh"
 #include "stats/stats.hh"
 
 namespace limitless
@@ -102,7 +102,7 @@ class IpiInterface
     EventQueue &_eq;
     NodeId _self;
     std::size_t _capacity;
-    std::deque<PacketPtr> _input;
+    Ring<PacketPtr> _input;
     SendFn _send;
     InterruptFn _interrupt;
 

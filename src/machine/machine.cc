@@ -671,8 +671,8 @@ Machine::allThreadsDone() const
 }
 
 std::uint64_t
-Machine::sumCounter(const std::string &component,
-                    const std::string &name) const
+Machine::sumCounter(std::string_view component,
+                    std::string_view name) const
 {
     std::uint64_t total = 0;
     for (const auto &node : _nodes) {
@@ -686,8 +686,8 @@ Machine::sumCounter(const std::string &component,
 }
 
 double
-Machine::meanAccumulator(const std::string &component,
-                         const std::string &name) const
+Machine::meanAccumulator(std::string_view component,
+                         std::string_view name) const
 {
     double sum = 0.0;
     std::uint64_t count = 0;
@@ -832,7 +832,7 @@ Machine::dumpStatsJson(std::ostream &os, Tick cycles,
                 w.value(sumCounter(comp, stat->name()));
                 continue;
             }
-            Accumulator agg(stat->name(), stat->desc());
+            Accumulator agg("aggregate", "merged across nodes");
             std::uint64_t count = 0;
             for (const auto &node : _nodes) {
                 const StatSet *set = node->statSet(comp);

@@ -12,6 +12,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "machine/coherence_policy.hh"
@@ -95,12 +96,12 @@ class Machine
     RunResult run(Tick max_cycles = 0);
 
     /** Sum a counter across all nodes, e.g. sumCounter("cache","misses"). */
-    std::uint64_t sumCounter(const std::string &component,
-                             const std::string &name) const;
+    std::uint64_t sumCounter(std::string_view component,
+                             std::string_view name) const;
 
     /** Machine-wide mean of an accumulator (weighted by sample count). */
-    double meanAccumulator(const std::string &component,
-                           const std::string &name) const;
+    double meanAccumulator(std::string_view component,
+                           std::string_view name) const;
 
     /** Aggregate LimitLESS overflow fraction (the model's m). */
     double overflowFraction() const;

@@ -138,7 +138,7 @@ Node::deliver(PacketPtr pkt)
 }
 
 const StatSet *
-Node::statSet(const std::string &component) const
+Node::statSet(std::string_view component) const
 {
     if (component == "proc")
         return &const_cast<Processor &>(*_proc).stats();

@@ -9,6 +9,7 @@
 #define LIMITLESS_MACHINE_NODE_HH
 
 #include <memory>
+#include <string_view>
 
 #include "cache/cache_controller.hh"
 #include "hier/chip_home.hh"
@@ -58,7 +59,7 @@ class Node
 
     /** Look up one of this node's stat sets by component name
      *  ("proc", "cache", "mem", "ipi", "handler"); nullptr if unknown. */
-    const StatSet *statSet(const std::string &component) const;
+    const StatSet *statSet(std::string_view component) const;
 
   private:
     EventQueue &_eq;

@@ -24,7 +24,6 @@
 #define LIMITLESS_MEM_HOME_CORE_HH
 
 #include <array>
-#include <deque>
 #include <functional>
 #include <iosfwd>
 #include <memory>
@@ -39,6 +38,7 @@
 #include "proto/protocol_params.hh"
 #include "proto/transition.hh"
 #include "sim/event_queue.hh"
+#include "sim/ring.hh"
 #include "stats/stats.hh"
 
 namespace limitless
@@ -342,7 +342,7 @@ class HomeCore
     Log2Histogram *_wsProfile = nullptr;       ///< telemetry, may be null
     Log2Histogram *_trapServiceHist = nullptr; ///< telemetry, may be null
 
-    std::deque<PacketPtr> _queue;
+    Ring<PacketPtr> _queue;
     bool _serviceScheduled = false;
     Tick _busyUntil = 0;
     Tick _extraDelay = 0; ///< Ts charge for the in-flight service

@@ -39,7 +39,7 @@ MemoryController::MemoryController(EventQueue &eq, NodeId self,
           "worker_set", "sharers invalidated per write", amap.numNodes()))
 {
     if (_proto.kind == ProtocolKind::chained)
-        _chained = std::make_unique<ChainedDir>();
+        _chained = std::make_unique<ChainedDir>(self);
     _homePolicy = &home::homePolicyFor(_proto.kind);
 }
 

@@ -3,22 +3,24 @@
  * Flit buffer for the wormhole fabric's router ports.
  *
  * The mesh probes and advances these FIFOs on every network cycle for
- * every active router, so the common operations (empty / front / pop)
- * must be a couple of loads — a std::deque's segmented iterators showed
- * up hard in profiles. The power-of-two ring grows on demand; a port
- * may additionally declare a hard bound (its credit allotment), and a
- * push past the bound panics rather than silently reordering packets:
- * credits are supposed to make that unreachable, and at 1024 nodes a
- * silent wraparound would corrupt packet order far from the bug.
+ * every active router, so they are a Ring (src/sim/ring.hh): empty /
+ * front / pop are a couple of loads, and a port allocates nothing until
+ * its first flit arrives. A port may declare a hard bound (its credit
+ * allotment); its ring then allocates the bound at the first push and
+ * never grows, and a push past the bound panics rather than silently
+ * reordering packets: credits are supposed to make that unreachable,
+ * and at 1024 nodes a silent wraparound would corrupt packet order far
+ * from the bug.
  */
 
 #ifndef LIMITLESS_NETWORK_FLIT_FIFO_HH
 #define LIMITLESS_NETWORK_FLIT_FIFO_HH
 
+#include <cassert>
 #include <cstddef>
-#include <vector>
 
 #include "sim/log.hh"
+#include "sim/ring.hh"
 #include "sim/types.hh"
 
 namespace limitless
@@ -36,70 +38,48 @@ struct Flit
     NodeId dest;
 };
 
-/** Growable ring buffer of flits with an optional hard bound. */
+/** Ring of flits with an optional hard bound. */
 class FlitFifo
 {
   public:
-    bool empty() const { return _count == 0; }
-    std::size_t size() const { return _count; }
-    std::size_t capacity() const { return _buf.size(); }
+    bool empty() const { return _ring.empty(); }
+    std::size_t size() const { return _ring.size(); }
+    std::size_t capacity() const { return _ring.capacity(); }
     std::size_t bound() const { return _bound; }
-    const Flit &front() const { return _buf[_head]; }
+    const Flit &front() const { return _ring.front(); }
 
     /** i-th element from the front (teardown scan). */
-    const Flit &at(std::size_t i) const
-    {
-        return _buf[(_head + i) & _mask];
-    }
+    const Flit &at(std::size_t i) const { return _ring[i]; }
 
     /**
-     * Cap occupancy at @p flits (0 = unbounded). Bounded ports are the
-     * credit-controlled mesh inputs; the Local injection port stays
-     * unbounded and simply grows.
+     * Cap occupancy at @p flits (0 = unbounded), before the first push.
+     * Bounded ports are the credit-controlled mesh inputs; the Local
+     * injection port stays unbounded and simply grows.
      */
     void
     setBound(std::size_t flits)
     {
+        assert(_ring.capacity() == 0 && "setBound after the first push");
         _bound = flits;
+        _ring = Ring<Flit>(flits ? flits : unboundedFirstCapacity);
     }
 
     void
     push_back(const Flit &f)
     {
-        if (_bound && _count >= _bound)
+        if (_bound && _ring.size() >= _bound)
             panic("flit fifo overflow: %zu flits buffered, bound %zu — "
                   "credit flow control violated",
-                  _count, _bound);
-        if (_count == _buf.size())
-            grow();
-        _buf[(_head + _count) & _mask] = f;
-        ++_count;
+                  _ring.size(), _bound);
+        _ring.push_back(f);
     }
 
-    void
-    pop_front()
-    {
-        _head = (_head + 1) & _mask;
-        --_count;
-    }
+    void pop_front() { _ring.pop_front(); }
 
   private:
-    void
-    grow()
-    {
-        // Unwrap into a buffer of twice the capacity.
-        std::vector<Flit> bigger(_buf.size() * 2);
-        for (std::size_t i = 0; i < _count; ++i)
-            bigger[i] = _buf[(_head + i) & _mask];
-        _buf.swap(bigger);
-        _mask = _buf.size() - 1;
-        _head = 0;
-    }
+    static constexpr std::size_t unboundedFirstCapacity = 16;
 
-    std::vector<Flit> _buf = std::vector<Flit>(16);
-    std::size_t _mask = 15;
-    std::size_t _head = 0;
-    std::size_t _count = 0;
+    Ring<Flit> _ring{unboundedFirstCapacity};
     std::size_t _bound = 0;
 };
 

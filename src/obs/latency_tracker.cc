@@ -1,6 +1,7 @@
 #include "obs/latency_tracker.hh"
 
 #include <algorithm>
+#include <tuple>
 
 #include "obs/json.hh"
 #include "sim/event_queue.hh"
@@ -336,28 +337,28 @@ void
 LatencyTracker::replayThrough(Tick through,
                               std::vector<std::vector<DeferredStamp>> &bufs)
 {
-    // Point at the due stamps partition-major, each buffer in append
-    // order; the stable sort by tick then yields (tick, partition,
-    // append-order) without copying a stamp.
-    std::vector<const DeferredStamp *> due;
+    // Sort the due stamps' (tick, partition, append position) keys:
+    // that is the replay order, reached without copying a stamp and
+    // without the temporary buffer a stable sort allocates.
+    _due.clear();
     std::uint64_t buffered = 0;
-    for (const auto &buf : bufs) {
-        buffered += buf.size();
-        for (const DeferredStamp &s : buf)
-            if (s.now <= through)
-                due.push_back(&s);
+    for (std::uint32_t p = 0; p < bufs.size(); ++p) {
+        buffered += bufs[p].size();
+        for (std::uint32_t i = 0; i < bufs[p].size(); ++i)
+            if (bufs[p][i].now <= through)
+                _due.push_back({bufs[p][i].now, p, i});
     }
-    std::stable_sort(due.begin(), due.end(),
-                     [](const DeferredStamp *a, const DeferredStamp *b) {
-                         return a->now < b->now;
-                     });
+    std::sort(_due.begin(), _due.end(), [](const Due &a, const Due &b) {
+        return std::tie(a.now, a.part, a.index) <
+               std::tie(b.now, b.part, b.index);
+    });
     _replayStats.flushes += 1;
-    _replayStats.held += buffered - due.size();
+    _replayStats.held += buffered - _due.size();
     _replayStats.peakBuffered =
         std::max(_replayStats.peakBuffered, buffered);
 
-    for (const DeferredStamp *s : due)
-        apply(*s);
+    for (const Due &d : _due)
+        apply(bufs[d.part][d.index]);
 
     for (auto &buf : bufs)
         std::erase_if(buf, [through](const DeferredStamp &s) {

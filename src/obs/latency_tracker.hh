@@ -282,6 +282,16 @@ class LatencyTracker
     std::vector<DeferredStamp> *_deferBuf = nullptr;
     const EventQueue *_deferClock = nullptr;
     ReplayStats _replayStats;
+    /** A due stamp: its tick, partition buffer and place in it. */
+    struct Due
+    {
+        Tick now;
+        std::uint32_t part;
+        std::uint32_t index;
+    };
+    /** replayThrough's sort buffer, kept across flushes so a flush
+     *  allocates nothing once it has seen its largest stride. */
+    std::vector<Due> _due;
 
     std::uint64_t _completed = 0;
     double _sumReqNet = 0.0;

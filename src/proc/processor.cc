@@ -161,9 +161,9 @@ Processor::forwardFromStoreBuffer(const MemOp &op, std::uint64_t &value)
 {
     // Youngest matching store wins: scan the unissued FIFO first (newest
     // at the back), then the in-flight set (issued in FIFO order).
-    for (auto it = _storeBuffer.rbegin(); it != _storeBuffer.rend(); ++it) {
-        if (it->addr == op.addr) {
-            value = it->value;
+    for (std::size_t i = _storeBuffer.size(); i-- > 0;) {
+        if (_storeBuffer[i].addr == op.addr) {
+            value = _storeBuffer[i].value;
             return true;
         }
     }

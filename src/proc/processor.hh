@@ -20,7 +20,6 @@
 
 #include <algorithm>
 #include <coroutine>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <memory>
@@ -29,6 +28,7 @@
 #include "cache/cache_controller.hh"
 #include "cache/mem_op.hh"
 #include "sim/event_queue.hh"
+#include "sim/ring.hh"
 #include "sim/rng.hh"
 #include "sim/task.hh"
 #include "stats/stats.hh"
@@ -247,7 +247,7 @@ class Processor
     // Weak-ordering state: FIFO store buffer + waiters. Independent
     // stores drain concurrently (weak ordering does not order stores to
     // different addresses); same-line stores serialize in the cache.
-    std::deque<MemOp> _storeBuffer;
+    Ring<MemOp> _storeBuffer;
     std::vector<std::pair<std::uint64_t, MemOp>> _inFlightStores;
     std::uint64_t _nextStoreId = 0;
     std::vector<std::coroutine_handle<>> _fenceWaiters;

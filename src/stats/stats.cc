@@ -107,10 +107,10 @@ Distribution::json(JsonWriter &w) const
 
 template <typename T, typename... Args>
 T &
-StatSet::add(const std::string &name, Args &&...args)
+StatSet::add(const char *name, Args &&...args)
 {
     if (find(name) != nullptr)
-        panic("duplicate stat name '%s' in set '%s'", name.c_str(),
+        panic("duplicate stat name '%s' in set '%s'", name,
               _prefix.c_str());
     auto stat = std::make_unique<T>(name, std::forward<Args>(args)...);
     T &ref = *stat;
@@ -119,26 +119,26 @@ StatSet::add(const std::string &name, Args &&...args)
 }
 
 Counter &
-StatSet::counter(const std::string &name, const std::string &desc)
+StatSet::counter(const char *name, const char *desc)
 {
     return add<Counter>(name, desc);
 }
 
 Accumulator &
-StatSet::accumulator(const std::string &name, const std::string &desc)
+StatSet::accumulator(const char *name, const char *desc)
 {
     return add<Accumulator>(name, desc);
 }
 
 Distribution &
-StatSet::distribution(const std::string &name, const std::string &desc,
+StatSet::distribution(const char *name, const char *desc,
                       std::size_t max_value)
 {
     return add<Distribution>(name, desc, max_value);
 }
 
 const Stat *
-StatSet::find(const std::string &name) const
+StatSet::find(std::string_view name) const
 {
     for (const auto &s : _stats)
         if (s->name() == name)
@@ -147,7 +147,7 @@ StatSet::find(const std::string &name) const
 }
 
 Stat *
-StatSet::find(const std::string &name)
+StatSet::find(std::string_view name)
 {
     return const_cast<Stat *>(
         static_cast<const StatSet *>(this)->find(name));
@@ -157,9 +157,11 @@ void
 StatSet::dump(std::ostream &os) const
 {
     for (const auto &s : _stats) {
-        os << std::left << std::setw(44)
-           << (_prefix.empty() ? s->name() : _prefix + "." + s->name())
-           << " ";
+        std::string label = _prefix;
+        if (!label.empty())
+            label += '.';
+        label += s->name();
+        os << std::left << std::setw(44) << label << " ";
         s->print(os);
         os << "   # " << s->desc() << "\n";
     }

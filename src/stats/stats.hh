@@ -7,6 +7,8 @@
  * Components own a StatSet and create named stats once at construction;
  * the hot path (increment / sample) is a plain integer operation. The
  * machine layer aggregates per-node StatSets by stat name for reporting.
+ * A stat's name and description are string literals that it points at,
+ * never copies: a 1,024-node machine holds about 41,000 stats.
  */
 
 #ifndef LIMITLESS_STATS_STATS_HH
@@ -19,6 +21,7 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace limitless
@@ -30,14 +33,13 @@ class JsonWriter;
 class Stat
 {
   public:
-    Stat(std::string name, std::string desc)
-        : _name(std::move(name)), _desc(std::move(desc))
-    {}
+    /** @p name and @p desc must outlive the stat: pass string literals. */
+    Stat(const char *name, const char *desc) : _name(name), _desc(desc) {}
 
     virtual ~Stat() = default;
 
-    const std::string &name() const { return _name; }
-    const std::string &desc() const { return _desc; }
+    std::string_view name() const { return _name; }
+    std::string_view desc() const { return _desc; }
 
     /** One-line textual dump (without the name column). */
     virtual void print(std::ostream &os) const = 0;
@@ -49,8 +51,8 @@ class Stat
     virtual void reset() = 0;
 
   private:
-    std::string _name;
-    std::string _desc;
+    const char *_name;
+    const char *_desc;
 };
 
 /** Monotonic event counter. */
@@ -139,8 +141,8 @@ class Accumulator : public Stat
 class Distribution : public Stat
 {
   public:
-    Distribution(std::string name, std::string desc, std::size_t max_value)
-        : Stat(std::move(name), std::move(desc)), _maxValue(max_value)
+    Distribution(const char *name, const char *desc, std::size_t max_value)
+        : Stat(name, desc), _maxValue(max_value)
     {}
 
     /** Count @p v; values above the domain land in its top slot. */
@@ -184,7 +186,8 @@ class Distribution : public Stat
 };
 
 /**
- * An owning collection of named stats belonging to one component.
+ * An owning collection of named stats belonging to one component. Names
+ * and descriptions are string literals (see Stat).
  */
 class StatSet
 {
@@ -194,16 +197,14 @@ class StatSet
     StatSet(const StatSet &) = delete;
     StatSet &operator=(const StatSet &) = delete;
 
-    Counter &counter(const std::string &name, const std::string &desc);
-    Accumulator &accumulator(const std::string &name,
-                             const std::string &desc);
-    Distribution &distribution(const std::string &name,
-                               const std::string &desc,
+    Counter &counter(const char *name, const char *desc);
+    Accumulator &accumulator(const char *name, const char *desc);
+    Distribution &distribution(const char *name, const char *desc,
                                std::size_t max_value);
 
     /** Find a stat by (unprefixed) name; nullptr if absent. */
-    const Stat *find(const std::string &name) const;
-    Stat *find(const std::string &name);
+    const Stat *find(std::string_view name) const;
+    Stat *find(std::string_view name);
 
     const std::string &prefix() const { return _prefix; }
 
@@ -220,7 +221,7 @@ class StatSet
 
   private:
     template <typename T, typename... Args>
-    T &add(const std::string &name, Args &&...args);
+    T &add(const char *name, Args &&...args);
 
     std::string _prefix;
     std::vector<std::unique_ptr<Stat>> _stats;

@@ -311,12 +311,13 @@ traceField(const std::string &ev, const std::string &key, int base,
 
 TEST(TraceStream, DirectoryEventsNameTheirHomeNode)
 {
-    // Every scheme's pointer-overflow and clear events land on the
-    // Chrome-trace row (tid) of the home node that owns the line.
+    // Every scheme's pointer-overflow and clear events, and the chained
+    // directory's list inserts and purges, land on the Chrome-trace row
+    // (tid) of the home node that owns the line.
     const std::string path = "trace_dir_home_test.json";
     FlightRecorder &fr = FlightRecorder::instance();
     for (const ProtocolParams &proto :
-         {protocols::dirNB(1), protocols::fullMap()}) {
+         {protocols::dirNB(1), protocols::fullMap(), protocols::chained()}) {
         fr.latency().reset();
         ASSERT_TRUE(fr.traceOpen(path));
         Machine m(small(proto));
